@@ -3,7 +3,8 @@
 The separable states form the convex hull of the pure product states, so
 the nearest separable state can be found by conditional gradient: each
 step only needs the product state minimizing a linear functional, which
-the alternating eigenvector solver provides.  For isotropic states the
+the product-state minimizer (alternating eigenvector steps with a damped
+Newton step) provides.  For isotropic states the
 answer is known in closed form, so we can watch the numeric projection
 land on it.
 """

@@ -3,7 +3,7 @@ projections, distance-vs-violation comparisons, sign patterns, and CHSH
 scans, emitted as CSV or JSON for external plotting.
 
 Exit codes: 0 success, 1 domain error, 2 solver non-convergence (partial
-results are still emitted, flagged converged=false).
+rows, where there are any, are still emitted and flag the failure).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from .linalg import hs_inner
 from .measures import (
     ProjectionConfig,
     ProjectionError,
@@ -31,7 +32,8 @@ from .states import (
     isotropic,
     isotropic_separability,
 )
-from .witness import SolverConfig, chsh_max_violation, verify_nearest_separable, witness_candidate
+from .witness import (SolverConfig, SolverError, chsh_max_violation,
+                      verify_nearest_separable, witness_candidate)
 
 #: column order of projection/violation result rows
 RESULT_COLUMNS = ("d", "alpha", "D_closed", "D_numeric", "B", "discrepancy", "gap", "iters", "converged")
@@ -88,36 +90,31 @@ def _emit(rows, columns, args):
         sys.stdout.write(text)
 
 
-def _solver_config(args) -> SolverConfig:
+def _solver_config(args, base: SolverConfig = SolverConfig()) -> SolverConfig:
+    """Flags win over the --solver-config file, which wins over ``base``."""
     cfg = {}
     if args.solver_config:
         with open(args.solver_config) as fh:
             cfg = json.load(fh)
     return SolverConfig(
-        n_starts=args.n_starts if args.n_starts is not None else cfg.get("n_starts", 32),
-        max_iters=args.max_iters if args.max_iters is not None else cfg.get("max_iters", 500),
-        tol_conv=cfg.get("tol_conv", 1e-12),
+        n_starts=args.n_starts if args.n_starts is not None else cfg.get("n_starts", base.n_starts),
+        max_iters=args.max_iters if args.max_iters is not None else cfg.get("max_iters", base.max_iters),
+        tol_conv=cfg.get("tol_conv", base.tol_conv),
         seed=args.seed if args.seed is not None else cfg.get("seed", _default_seed()),
     )
 
 
 def _projection_config(args) -> ProjectionConfig:
-    solver = _solver_config(args)
-    inner = SolverConfig(n_starts=8, max_iters=solver.max_iters,
-                         tol_conv=solver.tol_conv, seed=solver.seed)
+    default = ProjectionConfig()
     return ProjectionConfig(
-        tol_gap=args.tol_gap if args.tol_gap is not None else 1e-9,
-        solver=inner,
+        tol_gap=args.tol_gap if args.tol_gap is not None else default.tol_gap,
+        solver=_solver_config(args, default.solver),
     )
 
 
 def _default_seed() -> int:
     env = os.environ.get("WITNESSKIT_SEED")
     return int(env) if env else 0
-
-
-def _seed(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
 
 
 def _load_state(path: str) -> DensityMatrix:
@@ -173,8 +170,13 @@ def cmd_witness_check(args) -> int:
         target = isotropic(d, alpha)
         guess_alpha = args.guess_alpha if args.guess_alpha is not None else 1.0 / (d + 1)
         guess = isotropic(d, guess_alpha)
-    report = verify_nearest_separable(guess, target, _solver_config(args))
     columns = ("d", "alpha", "ent_expectation", "sep_minimum", "is_witness", "is_optimal")
+    try:
+        report = verify_nearest_separable(guess, target, _solver_config(args))
+    except SolverError as exc:  # partial row: the best value found, certifying nothing
+        ent = hs_inner(target.matrix, witness_candidate(guess, target).operator).real
+        _emit([(d, alpha, ent, exc.best_value, False, False)], columns, args)
+        raise
     _emit([(d, alpha, report.ent_expectation, report.sep_minimum,
             report.is_witness, report.is_optimal)], columns, args)
     return 0
@@ -294,6 +296,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
+    except SolverError as exc:
+        print(f"witnesskit: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, KeyError) as exc:
         print(f"witnesskit: {exc}", file=sys.stderr)
         return 1

@@ -256,10 +256,14 @@ def density_to_json(rho: DensityMatrix) -> dict:
 
 
 def density_from_json(obj: dict) -> DensityMatrix:
-    d_a, d_b = int(obj["d_a"]), int(obj["d_b"])
+    """Inverse of ``density_to_json``; raises ValueError on malformed input."""
+    try:
+        d_a, d_b = int(obj["d_a"]), int(obj["d_b"])
+        entries = [complex(re, im) for re, im in obj["entries"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError("state JSON needs integer d_a, d_b and 'entries' as a list "
+                         f"of [re, im] number pairs ({exc})") from exc
     dim = d_a * d_b
-    entries = obj["entries"]
     if len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
-    m = np.array([complex(re, im) for re, im in entries]).reshape(dim, dim)
-    return DensityMatrix(m, d_a, d_b)
+    return DensityMatrix(np.array(entries).reshape(dim, dim), d_a, d_b)

@@ -1,7 +1,8 @@
 """Entanglement witnesses: the tangent-plane candidate built from a
 (guess, entangled-state) pair, global minimization of an observable over
-product states, the closed-form optimal witnesses for isotropic states,
-and the CHSH operator.
+product states (batched multistart alternating eigenvector steps with a
+damped Riemannian Newton step on the product of spheres), the closed-form
+optimal witnesses for isotropic states, and the CHSH operator.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bases import pauli_basis
 from .linalg import (
     TAU_EIG,
     DimensionMismatchError,
@@ -40,7 +42,9 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings for the multistart alternating-eigenvector solver."""
+    """Settings for ``min_over_separable``: random starts, iterations per
+    start (an alternating step and a Newton step each), the convergence
+    tolerance on the value, and the seed of the random starts."""
 
     n_starts: int = 32
     max_iters: int = 500
@@ -87,51 +91,6 @@ def witness_candidate(guess: DensityMatrix, target: DensityMatrix) -> WitnessCan
     return WitnessCandidate(op, guess, target, offset_c=-overlap / norm)
 
 
-def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
-# Alternating eigenvector steps converge sublinearly along nearly flat
-# valleys; once the per-step decrease drops below this, switch to a
-# quasi-Newton polish of the product Rayleigh quotient.
-_STALL_TOL = 1e-8
-# Cap on consecutive alternating steps before a polish is attempted anyway.
-_ALT_BURST = 60
-
-
-def _polish(a4, d_a: int, d_b: int, psi, phi, tol: float):
-    """Minimize <psi phi|a|psi phi> / (|psi|^2 |phi|^2) by BFGS with an
-    analytic gradient, starting from the alternating solver's iterate."""
-    from scipy.optimize import minimize
-
-    def unpack(x):
-        psi = x[:d_a] + 1j * x[d_a:2 * d_a]
-        off = 2 * d_a
-        phi = x[off:off + d_b] + 1j * x[off + d_b:]
-        return psi, phi
-
-    def fun_jac(x):
-        psi, phi = unpack(x)
-        ma = np.einsum("ikjl,k,l->ij", a4, phi.conj(), phi)
-        npsi = np.vdot(psi, psi).real
-        nphi = np.vdot(phi, phi).real
-        h = npsi * nphi
-        g = np.vdot(psi, ma @ psi).real
-        f = g / h
-        mb = np.einsum("ikjl,i,j->kl", a4, psi.conj(), psi)
-        dpsi = (ma @ psi - f * nphi * psi) / h
-        dphi = (mb @ phi - f * npsi * phi) / h
-        grad = 2 * np.concatenate([dpsi.real, dpsi.imag, dphi.real, dphi.imag])
-        return f, grad
-
-    x0 = np.concatenate([psi.real, psi.imag, phi.real, phi.imag])
-    res = minimize(fun_jac, x0, jac=True, method="BFGS",
-                   options={"gtol": tol, "maxiter": 500})
-    psi, phi = unpack(res.x)
-    return psi / np.linalg.norm(psi), phi / np.linalg.norm(phi)
-
-
 def min_over_separable(
     a,
     d_a: int,
@@ -142,68 +101,127 @@ def min_over_separable(
     """Global minimum of <psi x phi| a |psi x phi> over unit vectors.
 
     By linearity this is the minimum of <rho, a> over all separable rho,
-    attained at a pure product state.  Multistart alternating optimization:
-    for fixed phi the optimal psi is the minimal eigenvector of the
-    contracted d_a x d_a operator, and symmetrically; each half-step solves
-    its subproblem exactly, so the value is monotone non-increasing.
+    attained at a pure product state.  All starts run as stacked arrays.
+    Each iteration takes one alternating step (for fixed phi the optimal psi
+    is the minimal eigenvector of the contracted d_a x d_a operator, and
+    symmetrically), then a damped Newton step (``_newton_step``) proposes
+    where the next one starts; it crosses the flat valleys where alternating
+    steps crawl.  A proposal that would raise the value is dropped for a
+    plain alternating step.  A start has converged once a step lowers its
+    value by less than ``cfg.tol_conv``, if that step began at a proposal
+    or the Newton model predicts no larger decrease.  Starts still running
+    when ``cfg.max_iters`` runs out take part with the value they reached;
+    if none has converged, ``SolverError`` carries the best value seen.
 
-    Returns ``(value, (psi, phi))`` for the best start.  ``extra_starts`` may
-    supply additional initial phi vectors (e.g. warm starts).
+    Returns ``(value, (psi, phi))``, the value being the Rayleigh value of
+    the returned unit vectors.  ``extra_starts`` may supply additional
+    initial phi vectors (e.g. warm starts).
     """
     m = require_hermitian(a)
     if m.shape[0] != d_a * d_b:
         raise DimensionMismatchError(f"operator dim {m.shape[0]} != {d_a * d_b}")
     a4 = m.reshape(d_a, d_b, d_a, d_b)
-    rng = np.random.default_rng(cfg.seed)
-    starts = [np.asarray(p, dtype=complex) for p in extra_starts]
-    starts += [_random_unit(rng, d_b) for _ in range(cfg.n_starts)]
+    z = np.random.default_rng(cfg.seed).standard_normal((cfg.n_starts, 2, d_b))
+    phi = np.concatenate([np.reshape(np.asarray(extra_starts, dtype=complex), (-1, d_b)),
+                          z[:, 0] + 1j * z[:, 1]])
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    psi = np.empty((len(phi), d_a), dtype=complex)
+    value = np.full(len(phi), np.inf)
+    start = phi.copy()  # where each start's next psi half-step begins
+    plain = np.ones(len(phi), dtype=bool)  # start is phi, not a Newton proposal
+    length = np.ones(len(phi))  # scale of the next Newton step
+    running = np.ones(len(phi), dtype=bool)
+    for _ in range(cfg.max_iters):
+        act = np.flatnonzero(running)
+        q = _lowest(np.einsum("ikjl,sk,sl->sij", a4, start[act].conj(), start[act]))[1]
+        w, p = _lowest(np.einsum("ikjl,si,sj->skl", a4, q.conj(), q))
+        ok = plain[act] | (w < value[act])
+        length[act] = np.where(plain[act], length[act],
+                               np.where(ok, np.minimum(2 * length[act], 1), length[act] / 4))
+        moved = act[ok]
+        decrease = value[moved] - w[ok]
+        psi[moved], phi[moved], value[moved] = q[ok], p[ok], w[ok]
+        proposal, predicted = _newton_step(m, psi[moved], phi[moved], value[moved], length[moved])
+        done = (decrease < cfg.tol_conv) & ((predicted < cfg.tol_conv) | ~plain[moved])
+        running[moved[done]] = False
+        start[act], plain[act] = phi[act], True
+        start[moved[~done]], plain[moved[~done]] = proposal[~done], False
+        if not running.any():
+            break
+    if running.all():
+        raise SolverError(
+            f"product-state solver did not converge in {cfg.max_iters} iterations",
+            best_value=float(value.min()),
+            iterations=cfg.max_iters,
+        )
+    k = int(np.argmin(value))
+    return float(value[k]), (psi[k], phi[k])
 
-    best = None
-    for phi in starts:
-        phi = phi / np.linalg.norm(phi)
-        value, psi, phi, done = _alternate(a4, phi, cfg.max_iters, cfg.tol_conv)
-        # crawling along a flat valley: polish, then let the alternating
-        # steps confirm stationarity; repeat if the quasi-Newton line search
-        # bailed out early
-        for _ in range(5):
-            if done:
-                break
-            psi, phi = _polish(a4, d_a, d_b, psi, phi, min(cfg.tol_conv, 1e-12))
-            value, psi, phi, done = _alternate(a4, phi, cfg.max_iters, cfg.tol_conv)
-        if not done:
-            raise SolverError(
-                f"alternating solver did not converge in {cfg.max_iters} iterations",
-                best_value=min(value, best[0]) if best else value,
-                iterations=cfg.max_iters,
-            )
-        if best is None or value < best[0]:
-            best = (value, (psi, phi))
-    return best
+
+def _lowest(ops):
+    """Lowest eigenvalue and unit eigenvector of each stacked Hermitian matrix."""
+    w, v = np.linalg.eigh(ops)
+    return w[:, 0], v[:, :, 0]
 
 
-def _alternate(a4, phi, max_iters: int, tol_conv: float):
-    """Alternating eigenvector descent; returns (value, psi, phi, converged).
+def _complement(v):
+    """Orthonormal bases of the complements of the stacked unit vectors ``v``:
+    the last columns of the Householder reflection taking e_1 to v's ray."""
+    h = v * np.exp(-1j * np.angle(v[:, :1]))
+    h[:, 0] += 1
+    return np.eye(v.shape[1])[:, 1:] - h[:, :, None] * h[:, None, 1:].conj() / h[:, :1, None].real
 
-    Stops early (converged=False) once the per-step decrease stalls below
-    ``_STALL_TOL`` without reaching ``tol_conv``.
+
+def _second_order(a, psi, phi, value):
+    """Riemannian gradient and Hessian at each start: ``(grad, hess, pa, pb)``.
+
+    With pa, pb orthonormal bases of the complements of {psi, i psi} and
+    {phi, i phi}, the quotient at normalized (psi + pa u, phi + pb v) is
+    g + 2 Re(r^H w) + w^H (J^H a J - g) w + 2 Re(u^T pa^T conj(Y) pb v) to
+    second order, with w = (u, v), J = [pa x phi, psi x pb], r = J^H a
+    |psi phi> and Y the d_a x d_b reshape of a |psi phi>.  ``grad`` and
+    ``hess`` refer to the real coordinates (Re w, Im w).
     """
-    value = np.inf
-    psi = None
-    for _ in range(min(max_iters, _ALT_BURST)):
-        ma = np.einsum("ikjl,k,l->ij", a4, phi.conj(), phi)
-        w, v = np.linalg.eigh(ma)
-        psi = v[:, 0]
-        mb = np.einsum("ikjl,i,j->kl", a4, psi.conj(), psi)
-        w, v = np.linalg.eigh(mb)
-        phi = v[:, 0]
-        new_value = w[0].real
-        decrease = value - new_value
-        value = new_value
-        if decrease < tol_conv:
-            return value, psi, phi, True
-        if decrease < _STALL_TOL:
-            return value, psi, phi, False
-    return value, psi, phi, False
+    n, d_a, d_b = len(psi), psi.shape[1], phi.shape[1]
+    na, nb, dim = d_a - 1, d_b - 1, d_a * d_b
+    pa, pb = _complement(psi), _complement(phi)
+    y = np.einsum("ikjl,sj,sl->sik", a.reshape(d_a, d_b, d_a, d_b), psi, phi)
+    jac = np.concatenate([(pa[:, :, None, :] * phi[:, None, :, None]).reshape(n, dim, na),
+                          (psi[:, :, None, None] * pb[:, None, :, :]).reshape(n, dim, nb)],
+                         axis=2)
+    jh = jac.conj().transpose(0, 2, 1)
+    r = (jh @ y.reshape(n, dim, 1))[:, :, 0]
+    k = jh @ (a @ jac) - value[:, None, None] * np.eye(na + nb)
+    c = np.zeros_like(k)
+    c[:, :na, na:] = pa.transpose(0, 2, 1) @ y.conj() @ pb
+    c[:, na:, :na] = c[:, :na, na:].transpose(0, 2, 1)
+    # w^H k w + Re(w^T c w) for w = p + i q is a real quadratic form in (p, q)
+    plus, minus = 2 * (k + c), 2 * (k - c)
+    hess = np.concatenate([np.concatenate([plus.real, -plus.imag], axis=2),
+                           np.concatenate([minus.imag, minus.real], axis=2)], axis=1)
+    return 2 * np.concatenate([r.real, r.imag], axis=1), hess, pa, pb
+
+
+def _newton_step(a, psi, phi, value, length):
+    """Damped Newton step for each start: the proposed phi (the phi part of
+    the step, scaled by ``length``) and the decrease the model predicts.
+
+    The Hessian is shifted by max(0, -lowest eigenvalue) + |gradient|
+    (Levenberg-Marquardt), so that no step heads for a saddle point and the
+    system stays regular along orbits of minimizers, where it is singular.
+    """
+    grad, hess, _, pb = _second_order(a, psi, phi, value)
+    lowest = np.linalg.eigvalsh(hess)
+    # the last term keeps the shift above rounding error in hess
+    mu = (np.maximum(-lowest[:, 0], 0) + np.linalg.norm(grad, axis=1)
+          + 1e-12 * np.abs(lowest).max(axis=1))
+    mu[mu == 0] = 1.0
+    x = -np.linalg.solve(hess + mu[:, None, None] * np.eye(grad.shape[1]), grad[..., None])[..., 0]
+    predicted = 0.5 * (mu * np.einsum("si,si->s", x, x) - np.einsum("si,si->s", grad, x))
+    na, nb = psi.shape[1] - 1, phi.shape[1] - 1
+    v = x[:, na:na + nb] + 1j * x[:, 2 * na + nb:]
+    proposal = phi + length[:, None] * (pb @ v[:, :, None])[:, :, 0]
+    return proposal / np.linalg.norm(proposal, axis=1, keepdims=True), predicted
 
 
 def verify_nearest_separable(
@@ -243,16 +261,10 @@ def optimal_witness_isotropic(d: int, alpha: float) -> np.ndarray:
     return pref * (np.eye(d * d) - d / (2 * (d - 1)) * gamma)
 
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
 def _dot_sigma(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    return v[0] * _PAULI[0] + v[1] * _PAULI[1] + v[2] * _PAULI[2]
+    sx, sy, sz = pauli_basis().generators
+    return v[0] * sx + v[1] * sy + v[2] * sz
 
 
 def chsh_operator(a, a_p, b, b_p) -> np.ndarray:
@@ -280,10 +292,8 @@ def chsh_max_violation(rho: DensityMatrix, cfg: SolverConfig = SolverConfig()) -
 
     if rho.d_a != 2 or rho.d_b != 2:
         raise DimensionMismatchError("CHSH scan requires a two-qubit state")
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = hs_inner(np.kron(_PAULI[i], _PAULI[j]), rho.matrix).real
+    paulis = pauli_basis().generators
+    t = np.array([[hs_inner(np.kron(si, sj), rho.matrix).real for sj in paulis] for si in paulis])
 
     def objective(x):
         b = x[:3]

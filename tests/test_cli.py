@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from witnesskit import cli
 from witnesskit.cli import RESULT_COLUMNS, _parse_alpha_range, main
-from witnesskit.states import density_to_json, isotropic
+from witnesskit.measures import BntReport, MeasureResult, ProjectionConfig
+from witnesskit.states import ProductEnsemble, density_to_json, isotropic
 
 
 def run_cli(capsys, *argv):
@@ -194,3 +196,60 @@ def test_solver_config_file(tmp_path, capsys):
     header, row = out.strip().splitlines()
     values = dict(zip(header.split(","), row.split(",")))
     assert values["is_witness"] == "true"
+
+
+@pytest.mark.parametrize("command", ["bnt", "measure"])
+@pytest.mark.parametrize("flag,expected", [
+    ((), ProjectionConfig().solver.n_starts),
+    (("--n-starts", "1"), 1),
+    (("--n-starts", "64"), 64),
+])
+def test_projection_honours_n_starts(monkeypatch, capsys, command, flag, expected):
+    seen = []
+
+    def fake_bnt_check(target, cfg):
+        seen.append(cfg.solver.n_starts)
+        e = np.array([1.0, 0.0])
+        mr = MeasureResult(0.5, ProductEnsemble(((1.0, e, e),)), 0.0, 1)
+        return BntReport(0.5, 0.5, 0.0, mr)
+
+    monkeypatch.setattr(cli, "bnt_check", fake_bnt_check)
+    code, _, _ = run_cli(capsys, command, "--d", "2", "--alpha", "0.8", *flag)
+    assert code == 0
+    assert seen == [expected]
+
+
+def test_witness_check_solver_error_row(capsys):
+    code, out, err = run_cli(capsys, "witness-check", "--d", "2", "--alpha", "0.8",
+                             "--max-iters", "1")
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and err.startswith("witnesskit:")
+    header, row = out.strip().splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert values["is_witness"] == "false" and values["is_optimal"] == "false"
+    assert np.isfinite(float(values["sep_minimum"]))
+
+
+def test_bnt_solver_error_exit_code(capsys):
+    code, _, err = run_cli(capsys, "bnt", "--d", "2", "--alpha", "0.8", "--max-iters", "1")
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and err.startswith("witnesskit:")
+
+
+@pytest.mark.parametrize("payload", [
+    {"d_a": 2, "d_b": 2, "entries": 5},
+    {"d_a": 2, "d_b": 2, "entries": None},
+    {"d_a": 2, "d_b": 2, "entries": [1.0] * 16},
+    {"d_a": 2, "d_b": 2, "entries": [[1.0, 0.0, 0.0]] * 16},
+    {"d_a": 2, "d_b": 2, "entries": [["a", "b"]] * 16},
+    {"d_a": "two", "d_b": 2, "entries": []},
+    {"d_b": 2, "entries": []},
+    [1, 2],
+])
+def test_malformed_state_json(tmp_path, capsys, payload):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "measure", "--state", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("witnesskit:")

@@ -206,5 +206,18 @@ def test_density_json_round_trip():
     assert np.allclose(back.matrix, rho.matrix)
 
 
+@pytest.mark.parametrize("entries", [
+    5,
+    None,
+    [0.25] * 16,
+    [[0.25, 0.0, 0.0]] * 16,
+    [["0.25", "0"]] * 16,
+    [[0.25, None]] * 16,
+])
+def test_density_from_json_rejects_malformed_entries(entries):
+    with pytest.raises(ValueError):
+        density_from_json({"d_a": 2, "d_b": 2, "entries": entries})
+
+
 def test_isotropic_params_threshold():
     assert IsotropicParams(5, 0.5).threshold == pytest.approx(1 / 6)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from witnesskit import witness
 from witnesskit.bases import gell_mann_basis, pauli_basis
 from witnesskit.linalg import hs_inner, hs_norm
 from witnesskit.states import DensityMatrix, gamma_operator, isotropic
 from witnesskit.witness import (
     SolverConfig,
+    SolverError,
     chsh_max_violation,
     chsh_operator,
     min_over_separable,
@@ -103,6 +105,82 @@ def test_min_over_separable_returns_attained_value():
     value, (psi, phi) = min_over_separable(a, 2, 3)
     x = np.kron(psi, phi)
     assert np.vdot(x, a @ x).real == pytest.approx(value, abs=1e-9)
+
+
+def random_hermitian(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (z + z.conj().T) / 2
+
+
+def random_unit(rng, d):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def test_newton_model_matches_finite_differences():
+    # the analytic Riemannian gradient and Hessian of the Rayleigh quotient,
+    # against central differences in the same tangent coordinates
+    rng = np.random.default_rng(31)
+    d_a, d_b = 2, 3
+    a = random_hermitian(rng, d_a * d_b)
+    psi, phi = random_unit(rng, d_a), random_unit(rng, d_b)
+    x0 = np.kron(psi, phi)
+    value = np.vdot(x0, a @ x0).real
+    grad, hess, pa, pb = witness._second_order(a, psi[None], phi[None], np.array([value]))
+    grad, hess, pa, pb = grad[0], hess[0], pa[0], pb[0]
+    m = d_a + d_b - 2
+
+    def f(t):
+        w = t[:m] + 1j * t[m:]
+        x = np.kron(psi + pa @ w[:d_a - 1], phi + pb @ w[d_a - 1:])
+        return np.vdot(x, a @ x).real / np.vdot(x, x).real
+
+    h = 1e-5
+    basis = np.eye(2 * m)
+    fd_grad = np.array([(f(h * e) - f(-h * e)) / (2 * h) for e in basis])
+    assert np.max(np.abs(fd_grad - grad)) <= 1e-8
+    h = 1e-4
+    v = rng.standard_normal(2 * m)
+    fd_hv = np.array([
+        (f(h * (e + v)) - f(h * (e - v)) - f(h * (v - e)) + f(-h * (e + v))) / (4 * h * h)
+        for e in basis
+    ])
+    assert np.max(np.abs(fd_hv - hess @ v)) <= 1e-5 * np.abs(hess).max()
+    assert np.max(np.abs(hess - hess.T)) <= 1e-12
+
+
+@pytest.mark.parametrize("d_b,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+def test_min_over_separable_against_bloch_grid(d_b, seed):
+    # For d_a = 2 the minimum over phi is exact: lambda_min of the operator
+    # contracted with psi.  That is 1/2 sqrt(sum_k ||A_k||^2)-Lipschitz in
+    # the Bloch vector of psi (A_k = operator contracted with sigma_k), and
+    # every Bloch vector lies within the grid's covering radius of a node.
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(rng, 2 * d_b)
+    value, _ = min_over_separable(a, 2, d_b, SolverConfig(seed=seed))
+    theta = np.linspace(0, np.pi, 121)
+    azimuth = np.linspace(0, 2 * np.pi, 240, endpoint=False)
+    t, p = (g.ravel() for g in np.meshgrid(theta, azimuth))
+    psi = np.stack([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)], axis=1)
+    a4 = a.reshape(2, d_b, 2, d_b)
+    grid_min = np.linalg.eigvalsh(np.einsum("ikjl,si,sj->skl", a4, psi.conj(), psi))[:, 0].min()
+    radius = (theta[1] - theta[0]) / 2 + (azimuth[1] - azimuth[0]) / 2
+    lipschitz = 0.5 * np.sqrt(sum(
+        np.linalg.norm(np.einsum("ji,ikjl->kl", s, a4), 2) ** 2 for s in pauli_basis().generators
+    ))
+    assert value <= grid_min + 1e-12
+    assert value >= grid_min - lipschitz * radius
+
+
+def test_min_over_separable_budget_exhausted():
+    rng = np.random.default_rng(32)
+    a = random_hermitian(rng, 6)
+    best, _ = min_over_separable(a, 2, 3)
+    with pytest.raises(SolverError) as info:
+        min_over_separable(a, 2, 3, SolverConfig(max_iters=1))
+    assert info.value.iterations == 1
+    assert np.isfinite(info.value.best_value)
+    assert info.value.best_value >= best - 1e-12
 
 
 def test_verify_nearest_separable_qubit():
