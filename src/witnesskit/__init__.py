@@ -38,7 +38,6 @@ from .states import (
     ProductEnsemble,
     density_from_json,
     density_to_json,
-    ensemble_to_density,
     gamma_operator,
     gamma_signs,
     is_ppt,

@@ -21,7 +21,7 @@ from .measures import (
     ProjectionError,
     bnt_check,
     gbi_violation,
-    hs_measure_isotropic,
+    isotropic_distance,
     nearest_separable,
 )
 from .states import (
@@ -83,6 +83,10 @@ def _emit(rows, columns, args):
         lines = [",".join(columns)]
         lines += [",".join(_fmt(x) for x in row) for row in rows]
         text = "\n".join(lines) + "\n"
+    _write(text, args)
+
+
+def _write(text: str, args):
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -123,10 +127,7 @@ def _load_state(path: str) -> DensityMatrix:
 
 
 def _result_row(d, alpha, mr, b_value, discrepancy):
-    d_closed = None
-    if d is not None and alpha is not None:
-        thr = 1.0 / (d + 1)
-        d_closed = hs_measure_isotropic(d, alpha) if alpha > thr else 0.0
+    d_closed = None if d is None or alpha is None else isotropic_distance(d, alpha)
     return (
         d, alpha, d_closed, mr.distance, b_value, discrepancy,
         mr.gap_certificate, mr.iterations, mr.converged,
@@ -139,8 +140,7 @@ def cmd_iso_sweep(args) -> int:
     for alpha in _parse_alpha_range(args.alpha):
         p = IsotropicParams(args.d, alpha)
         sep = isotropic_separability(args.d, alpha) == "separable"
-        dist = 0.0 if sep else hs_measure_isotropic(args.d, alpha)
-        rows.append((args.d, alpha, p.threshold, sep, dist))
+        rows.append((args.d, alpha, p.threshold, sep, isotropic_distance(args.d, alpha)))
     _emit(rows, columns, args)
     return 0
 
@@ -152,11 +152,7 @@ def cmd_gamma_signs(args) -> int:
         text = json.dumps({"d": args.d, "signs": [int(s) for s in signs]}) + "\n"
     else:
         text = pattern + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args)
     return 0
 
 

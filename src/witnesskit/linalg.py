@@ -34,11 +34,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(a).T
 
 
-def is_hermitian(a, tol: float = TAU_HERM) -> bool:
-    m = as_matrix(a)
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
-
-
 def require_hermitian(a, tol: float = TAU_HERM) -> np.ndarray:
     m = as_matrix(a)
     dev = float(np.max(np.abs(m - dagger(m))))

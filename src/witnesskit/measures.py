@@ -1,6 +1,7 @@
 """Hilbert-Schmidt distance machinery: closed forms for isotropic states,
-a conditional-gradient projection onto the separable set, the generalized
-Bell inequality violation, and the distance-equals-violation equality check.
+a Frank-Wolfe projection onto the separable set with an exact atom-space
+weight step, the generalized Bell inequality violation, and the
+distance-equals-violation equality check.
 """
 
 from __future__ import annotations
@@ -13,22 +14,19 @@ from .linalg import DimensionMismatchError, hs_inner, hs_norm
 from .states import DensityMatrix, IsotropicParams, ProductEnsemble
 from .witness import SolverConfig, min_over_separable, witness_candidate
 
-# Tolerance for the distance-equals-violation check; dominated by the
-# numeric projection, not by the closed forms.
-TAU_BNT = 5e-4
+# Margin by which an atom's gradient must lie below the support's to enter
+# the corrective step: a few hundred times the rounding of an O(1) gradient.
+_QP_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Settings for the conditional-gradient projection onto the separable
-    set.  The inner linear subproblem reuses the product-state minimizer;
-    its config here may be lighter than the standalone default because each
-    call is warm-started from the previous vertex."""
+    """Settings for the Frank-Wolfe projection onto the separable set; the
+    product-state minimizer of its linear subproblem may be lighter than the
+    standalone default because each call is warm-started."""
 
     tol_gap: float = 1e-9
     max_outer_iters: int = 5000
-    away_steps: bool = True
-    prune_tol: float = 1e-12
     solver: SolverConfig = field(default_factory=lambda: SolverConfig(n_starts=8))
 
 
@@ -78,55 +76,60 @@ def hs_measure_isotropic(d: int, alpha: float) -> float:
     return np.sqrt(d**2 - 1) / d * (p.alpha - p.threshold)
 
 
-def _atom_matrix(psi, phi):
-    x = np.kron(psi, phi)
-    return np.outer(x, x.conj())
+def isotropic_distance(d: int, alpha: float) -> float:
+    """Distance of any isotropic state to the separable set (0 if separable)."""
+    p = IsotropicParams(d, alpha)
+    return hs_measure_isotropic(d, alpha) if p.alpha > p.threshold else 0.0
 
 
-def _reoptimize_weights(atoms, target_matrix, prune_tol):
-    """Best convex combination of the given product atoms in HS norm.
-
-    Solved as a nonnegative least-squares problem with a heavily weighted
-    sum-to-one row; weights are renormalized afterwards so the result is an
-    exact convex combination.
-    """
-    from scipy.optimize import nnls
-
-    dim2 = target_matrix.size
-    cols = []
-    for psi, phi in atoms:
-        v = _atom_matrix(psi, phi).ravel()
-        cols.append(np.concatenate([v.real, v.imag]))
-    a = np.column_stack(cols)
-    b = np.concatenate([target_matrix.ravel().real, target_matrix.ravel().imag])
-    penalty = 1e4
-    a = np.vstack([a, penalty * np.ones((1, len(atoms)))])
-    b = np.concatenate([b, [penalty]])
-    w, _ = nnls(a, b)
-    total = w.sum()
-    if total <= 0:
-        w = np.full(len(atoms), 1.0 / len(atoms))
-    else:
-        w = w / total
-    keep = [k for k in range(len(atoms)) if w[k] > prune_tol]
-    atoms = [atoms[k] for k in keep]
-    w = w[keep]
-    w = w / w.sum()
-    return atoms, list(w)
+def _corrective_weights(gram: np.ndarray, lin: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Exact minimizer of w^T G w - 2 c^T w over the probability simplex by
+    Wolfe's nearest-point algorithm (Math. Programming 11, 1976), from a
+    ``w`` optimal on its own support (a vertex, or the previous result).
+    Major cycle: add the atom of least gradient if it is below the support's.
+    Minor cycle: solve the KKT system [[G, 1], [1^T, 0]] on the support, by
+    least squares since G is singular for affinely dependent atoms, and
+    while a weight of its solution is < 0, step towards it up to the
+    boundary and drop the atom that reaches 0.  The result sums to 1."""
+    w = w.astype(float)
+    support = w > 0
+    while True:
+        grad = gram @ w - lin
+        j = np.argmin(np.where(support, np.inf, grad))
+        if support[j] or grad[j] >= grad[support].min() - _QP_TOL:
+            return w
+        support[j] = True
+        while True:
+            s = np.flatnonzero(support)
+            kkt = np.pad(gram[np.ix_(s, s)], (0, 1), constant_values=1.0)
+            kkt[-1, -1] = 0.0
+            v = np.linalg.lstsq(kkt, np.append(lin[s], 1.0), rcond=None)[0][:-1]
+            neg = v < 0
+            if not neg.any():
+                break
+            ratio = w[s][neg] / (w[s][neg] - v[neg])
+            theta = ratio.min()
+            if theta == 0:  # atom j cannot lower the objective
+                return w
+            w[s] += theta * (v - w[s])
+            w[s[neg][ratio == theta]] = 0.0
+            support = w > 0
+        w[s] = v
+        support = w > 0
 
 
 def nearest_separable(
     target: DensityMatrix, cfg: ProjectionConfig = ProjectionConfig()
 ) -> MeasureResult:
-    """Project a state onto the separable set by conditional gradient.
+    """Project a state onto the separable set by Frank-Wolfe.
 
-    The iterate is kept as an explicit convex combination of pure product
-    states.  Each step minimizes the linearized objective over product
-    states (exactly the witness-side solver), adds the resulting vertex,
-    and re-optimizes the weights over the active atom set (a fully
-    corrective step, which subsumes away-steps by zeroing useless atoms).
-    The final linearization gap certifies suboptimality of the squared
-    distance.
+    The iterate is an explicit convex combination of pure product states
+    x_i = psi_i (x) phi_i.  Each step adds the product state minimizing the
+    linearized objective (the witness-side solver) and re-optimizes all
+    weights exactly: the squared distance is w^T G w - 2 c^T w plus a
+    constant, with G_ij = |<x_i|x_j>|^2 and c_i = <x_i|target|x_i>.  Atoms
+    whose weight reaches 0 are dropped.  The final linearization gap
+    certifies suboptimality of the squared distance.
     """
     d_a, d_b = target.d_a, target.d_b
     if d_b == 1:
@@ -134,14 +137,11 @@ def nearest_separable(
 
     # initial atom: product state most aligned with the target
     _, (psi, phi) = min_over_separable(-target.matrix, d_a, d_b, cfg.solver)
-    atoms = [(psi, phi)]
-    weights = [1.0]
-    rho = _atom_matrix(psi, phi)
-
-    gap = np.inf
-    converged = False
+    psis, phis, w = psi[None], phi[None], np.ones(1)
     last_phi = phi
     for it in range(1, cfg.max_outer_iters + 1):
+        x = (psis[:, :, None] * phis[:, None, :]).reshape(len(w), -1)
+        rho = (x.T * w) @ x.conj()
         grad = 2 * (rho - target.matrix)
         v_val, (v_psi, v_phi) = min_over_separable(
             grad, d_a, d_b, cfg.solver, extra_starts=(last_phi,)
@@ -149,35 +149,23 @@ def nearest_separable(
         last_phi = v_phi
         gap = hs_inner(rho, grad).real - v_val
         if gap < cfg.tol_gap:
-            converged = True
             break
+        psis, phis = np.vstack([psis, v_psi]), np.vstack([phis, v_phi])
+        x = np.vstack([x, np.kron(v_psi, v_phi)])
+        gram = np.abs(np.einsum("ia,ja->ij", x.conj(), x)) ** 2
+        lin = np.einsum("ka,ab,kb->k", x.conj(), target.matrix, x).real
+        w = _corrective_weights(gram, lin, np.append(w, 0.0))
+        psis, phis, w = psis[w > 0], phis[w > 0], w[w > 0]
 
-        atoms.append((v_psi, v_phi))
-        if cfg.away_steps:
-            atoms, weights = _reoptimize_weights(atoms, target.matrix, cfg.prune_tol)
-        else:
-            # plain conditional-gradient step with exact line search
-            direction = _atom_matrix(v_psi, v_phi) - rho
-            denom = hs_norm(direction) ** 2
-            gamma = hs_inner(target.matrix - rho, direction).real / denom
-            gamma = min(max(gamma, 0.0), 1.0)
-            weights = [w * (1 - gamma) for w in weights] + [gamma]
-            keep = [k for k, w in enumerate(weights) if w > cfg.prune_tol]
-            atoms = [atoms[k] for k in keep]
-            weights = [weights[k] for k in keep]
-            total = sum(weights)
-            weights = [w / total for w in weights]
-        rho = sum(w * _atom_matrix(p, q) for w, (p, q) in zip(weights, atoms))
-
-    ensemble = ProductEnsemble(tuple((w, p, q) for w, (p, q) in zip(weights, atoms)))
+    ensemble = ProductEnsemble(tuple(zip(w, psis, phis)))
     result = MeasureResult(
-        distance=hs_norm(rho - target.matrix),
+        distance=hs_norm(ensemble.to_matrix() - target.matrix),
         nearest=ensemble,
         gap_certificate=float(gap),
         iterations=it,
-        converged=converged,
+        converged=bool(gap < cfg.tol_gap),
     )
-    if not converged:
+    if not result.converged:
         raise ProjectionError(
             f"projection gap {gap:.3e} above tolerance {cfg.tol_gap:.1e} after "
             f"{cfg.max_outer_iters} iterations",
@@ -221,10 +209,5 @@ def infinite_d_trend(alphas, d_max: int):
     """
     if d_max < 2:
         raise ValueError(f"need d_max >= 2, got {d_max}")
-    rows = []
-    for d in range(2, d_max + 1):
-        thr = 1.0 / (d + 1)
-        for alpha in alphas:
-            dist = hs_measure_isotropic(d, alpha) if alpha > thr else 0.0
-            rows.append((d, float(alpha), thr, dist))
-    return rows
+    return [(d, float(alpha), 1.0 / (d + 1), isotropic_distance(d, alpha))
+            for d in range(2, d_max + 1) for alpha in alphas]

@@ -50,6 +50,8 @@ class DensityMatrix:
     d_b: int = 1
 
     def __post_init__(self):
+        if self.d_a < 1 or self.d_b < 1:
+            raise ValueError(f"need d_a, d_b >= 1, got d_a = {self.d_a}, d_b = {self.d_b}")
         m = require_hermitian(as_matrix(self.matrix))
         object.__setattr__(self, "matrix", m)
         if m.shape[0] != self.d_a * self.d_b:
@@ -235,11 +237,6 @@ def twirl_invariance_check(rho: DensityMatrix, trials: int, seed: int = 0) -> fl
         dev = hs_norm(w @ rho.matrix @ w.conj().T - rho.matrix)
         worst = max(worst, dev)
     return worst
-
-
-def ensemble_to_density(e: ProductEnsemble) -> DensityMatrix:
-    """Density matrix of a convex combination of pure product states."""
-    return e.to_density()
 
 
 def is_ppt(rho: DensityMatrix) -> bool:

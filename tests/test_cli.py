@@ -172,6 +172,11 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert path.read_text().splitlines()[0] == "d,alpha,threshold,separable,D"
+    path = tmp_path / "signs.txt"
+    code, out, _ = run_cli(capsys, "gamma-signs", "--d", "3", "--output", str(path))
+    assert code == 0
+    assert out == ""
+    assert path.read_text() == "+ - + + - + - +\n"
 
 
 def test_seed_env_fallback(capsys, monkeypatch):
@@ -245,6 +250,8 @@ def test_bnt_solver_error_exit_code(capsys):
     {"d_a": "two", "d_b": 2, "entries": []},
     {"d_b": 2, "entries": []},
     [1, 2],
+    {"d_a": 0, "d_b": 2, "entries": []},
+    {"d_a": -1, "d_b": -1, "entries": [[1.0, 0.0]]},
 ])
 def test_malformed_state_json(tmp_path, capsys, payload):
     path = tmp_path / "state.json"

@@ -8,10 +8,11 @@ from witnesskit.measures import (
     gbi_violation,
     hs_distance,
     hs_measure_isotropic,
+    _corrective_weights,
     infinite_d_trend,
     nearest_separable,
 )
-from witnesskit.states import DensityMatrix, isotropic
+from witnesskit.states import DensityMatrix, is_ppt, isotropic
 from witnesskit.witness import SolverConfig, optimal_witness_isotropic
 
 
@@ -119,10 +120,34 @@ def test_projection_rejects_single_party_state():
         nearest_separable(DensityMatrix(np.eye(4) / 4, 4, 1))
 
 
-def test_plain_conditional_gradient_also_converges():
-    cfg = ProjectionConfig(tol_gap=1e-6, max_outer_iters=20000, away_steps=False)
-    res = nearest_separable(isotropic(2, 0.8), cfg)
-    assert res.distance == pytest.approx(hs_measure_isotropic(2, 0.8), abs=1e-3)
+def test_corrective_weights_satisfy_kkt():
+    # min w^T G w - 2 c^T w over the simplex, for more atoms than the
+    # dimension of their span (G is singular) and from a vertex start
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((12, 6))
+    gram, lin = a @ a.T, rng.standard_normal(12)
+    w = _corrective_weights(gram, lin, np.eye(12)[0])
+    assert np.all(w >= 0)
+    assert abs(w.sum() - 1) <= 1e-12
+    grad = 2 * (gram @ w - lin)
+    on = w > 0
+    assert np.ptp(grad[on]) <= 1e-10
+    assert grad[~on].min() >= grad[on].max() - 1e-10
+
+
+def test_nearest_separable_non_isotropic_2x3():
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    v /= np.linalg.norm(v)
+    target = DensityMatrix(0.8 * np.outer(v, v.conj()) + 0.2 * np.eye(6) / 6, 2, 3)
+    assert not is_ppt(target)
+    res = nearest_separable(target)
+    assert res.converged and res.gap_certificate < ProjectionConfig().tol_gap
+    weights = np.array([w for w, _, _ in res.nearest.terms])
+    assert np.all(weights > 0)
+    assert abs(weights.sum() - 1) <= 1e-12
+    # PPT is separability at 2x3, so the nearest state must be PPT
+    assert is_ppt(res.nearest.to_density())
 
 
 def test_infinite_d_trend():

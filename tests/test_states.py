@@ -8,7 +8,6 @@ from witnesskit.states import (
     ProductEnsemble,
     density_from_json,
     density_to_json,
-    ensemble_to_density,
     gamma_operator,
     gamma_signs,
     is_ppt,
@@ -140,7 +139,7 @@ def test_twirl_detects_non_isotropic():
 
 def test_ensemble_single_term():
     e = ProductEnsemble(((1.0, [1, 0], [1, 0]),))
-    assert np.allclose(ensemble_to_density(e).matrix, np.diag([1, 0, 0, 0]))
+    assert np.allclose(e.to_density().matrix, np.diag([1, 0, 0, 0]))
 
 
 def test_ensemble_uniform_computational():
@@ -153,7 +152,7 @@ def test_ensemble_uniform_computational():
             psi[i] = 1
             phi[j] = 1
             terms.append((1 / d**2, psi, phi))
-    rho = ensemble_to_density(ProductEnsemble(tuple(terms)))
+    rho = ProductEnsemble(tuple(terms)).to_density()
     assert np.allclose(rho.matrix, np.eye(9) / 9)
 
 
@@ -173,7 +172,7 @@ def test_ensemble_states_are_ppt():
         psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         terms.append((w, psi / np.linalg.norm(psi), phi / np.linalg.norm(phi)))
-    assert is_ppt(ensemble_to_density(ProductEnsemble(tuple(terms))))
+    assert is_ppt(ProductEnsemble(tuple(terms)).to_density())
 
 
 def test_is_ppt_isotropic():
