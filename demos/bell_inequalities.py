@@ -22,7 +22,7 @@ cfg = SolverConfig(n_starts=8, seed=0)
 print(f"{'alpha':>6} {'chsh_max':>9} {'chsh?':>6} {'gbi_violation':>14} {'gbi?':>5}")
 for alpha in (0.2, 1 / 3, 0.5, 0.6, 1 / np.sqrt(2), 0.8, 1.0):
     rho = isotropic(2, alpha)
-    chsh = chsh_max_violation(rho, cfg)
+    chsh = chsh_max_violation(rho)
     if alpha > 1 / 3:
         a_opt = optimal_witness_isotropic(2, alpha)
         gbi = gbi_violation(rho, a_opt, cfg)

@@ -2,8 +2,8 @@
 projections, distance-vs-violation comparisons, sign patterns, and CHSH
 scans, emitted as CSV or JSON for external plotting.
 
-Exit codes: 0 success, 1 domain error, 2 solver non-convergence (partial
-rows, where there are any, are still emitted and flag the failure).
+Exit codes: 0 success, 1 usage or domain error, 2 solver non-convergence
+(partial rows, where there are any, are still emitted and flag the failure).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .measures import (
     ProjectionConfig,
     ProjectionError,
     bnt_check,
+    bnt_report,
     gbi_violation,
     isotropic_distance,
     nearest_separable,
@@ -65,13 +67,8 @@ def _parse_alpha_range(spec: str):
     if step <= 0:
         raise ValueError("alpha range step must be > 0")
     values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > end + step / 2:
-            break
+    while (v := start + len(values) * step) <= end + step / 2:
         values.append(v)
-        k += 1
     return values
 
 
@@ -95,30 +92,26 @@ def _write(text: str, args):
 
 
 def _solver_config(args, base: SolverConfig = SolverConfig()) -> SolverConfig:
-    """Flags win over the --solver-config file, which wins over ``base``."""
-    cfg = {}
+    """Flags win over the --solver-config file, which wins over ``base``
+    (whose seed gives way to the WITNESSKIT_SEED environment variable)."""
+    settings = {}
     if args.solver_config:
         with open(args.solver_config) as fh:
-            cfg = json.load(fh)
-    return SolverConfig(
-        n_starts=args.n_starts if args.n_starts is not None else cfg.get("n_starts", base.n_starts),
-        max_iters=args.max_iters if args.max_iters is not None else cfg.get("max_iters", base.max_iters),
-        tol_conv=cfg.get("tol_conv", base.tol_conv),
-        seed=args.seed if args.seed is not None else cfg.get("seed", _default_seed()),
-    )
+            settings = json.load(fh)
+        names = [f.name for f in fields(SolverConfig)]
+        if not isinstance(settings, dict) or not settings.keys() <= set(names):
+            raise ValueError(f"--solver-config must be a JSON object with keys among {', '.join(names)}")
+    flags = {"n_starts": args.n_starts, "max_iters": args.max_iters, "seed": args.seed}
+    settings.update((k, v) for k, v in flags.items() if v is not None)
+    if "seed" not in settings:
+        settings["seed"] = int(os.environ.get("WITNESSKIT_SEED") or 0)
+    return replace(base, **settings)
 
 
 def _projection_config(args) -> ProjectionConfig:
     default = ProjectionConfig()
-    return ProjectionConfig(
-        tol_gap=args.tol_gap if args.tol_gap is not None else default.tol_gap,
-        solver=_solver_config(args, default.solver),
-    )
-
-
-def _default_seed() -> int:
-    env = os.environ.get("WITNESSKIT_SEED")
-    return int(env) if env else 0
+    tol_gap = default.tol_gap if args.tol_gap is None else args.tol_gap
+    return replace(default, tol_gap=tol_gap, solver=_solver_config(args, default.solver))
 
 
 def _load_state(path: str) -> DensityMatrix:
@@ -126,10 +119,11 @@ def _load_state(path: str) -> DensityMatrix:
         return density_from_json(json.load(fh))
 
 
-def _result_row(d, alpha, mr, b_value, discrepancy):
+def _result_row(d, alpha, report):
     d_closed = None if d is None or alpha is None else isotropic_distance(d, alpha)
+    mr = report.measure
     return (
-        d, alpha, d_closed, mr.distance, b_value, discrepancy,
+        d, alpha, d_closed, mr.distance, report.b_value, report.discrepancy,
         mr.gap_certificate, mr.iterations, mr.converged,
     )
 
@@ -190,15 +184,11 @@ def _run_projection(args, target, d, alpha) -> int:
     exit_code = 0
     try:
         report = bnt_check(target, cfg)
-        row = _result_row(d, alpha, report.measure, report.b_value, report.discrepancy)
     except ProjectionError as exc:
-        mr = exc.result
-        cand = witness_candidate(mr.nearest.to_density(), target)
-        b = gbi_violation(target, cand.operator, cfg.solver)
-        row = _result_row(d, alpha, mr, b, abs(mr.distance - b))
+        report = bnt_report(target, exc.result, cfg.solver)
         exit_code = 2
         print(f"witnesskit: {exc}", file=sys.stderr)
-    _emit([row], RESULT_COLUMNS, args)
+    _emit([_result_row(d, alpha, report)], RESULT_COLUMNS, args)
     return exit_code
 
 
@@ -218,12 +208,10 @@ def cmd_bnt(args) -> int:
 def cmd_chsh_scan(args) -> int:
     if args.d != 2:
         raise ValueError("chsh-scan is defined for d = 2 only")
-    cfg = _solver_config(args)
     columns = ("d", "alpha", "chsh_max", "lhv_bound", "violates_chsh")
     rows = []
     for alpha in _parse_alpha_range(args.alpha):
-        rho = isotropic(2, alpha)
-        value = chsh_max_violation(rho, cfg)
+        value = chsh_max_violation(isotropic(2, alpha))
         rows.append((2, alpha, value, 2.0, value > 2.0))
     _emit(rows, columns, args)
     return 0
@@ -241,15 +229,19 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_alpha:
             p.add_argument("--alpha", required=False,
                            help="mixing parameter, single value or start:end:step")
+        p.add_argument("--output", default=None, help="output path (default stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    def solver(p, projection=False):
+        """Flags of the subcommands that run the product-state minimizer."""
         p.add_argument("--n-starts", type=int, default=None)
         p.add_argument("--max-iters", type=int, default=None)
-        p.add_argument("--tol-gap", type=float, default=None)
+        if projection:
+            p.add_argument("--tol-gap", type=float, default=None)
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: WITNESSKIT_SEED env var or 0)")
         p.add_argument("--solver-config", default=None,
                        help="JSON file {n_starts, max_iters, tol_conv, seed}")
-        p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("iso-sweep", help="closed-form distance sweep over alpha")
     common(p)
@@ -257,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness-check", help="check a nearest-separable-state guess")
     common(p)
+    solver(p)
     p.add_argument("--guess-alpha", type=float, default=None,
                    help="alpha of the isotropic guess state (default: threshold)")
     p.add_argument("--state", default=None, help="target state JSON file")
@@ -265,18 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="numeric projection onto the separable set")
     common(p)
+    solver(p, projection=True)
     p.add_argument("--state", default=None, help="target state JSON file")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("bnt", help="compare numeric distance with maximal GBI violation")
     common(p)
+    solver(p, projection=True)
     p.set_defaults(func=cmd_bnt)
 
     p = sub.add_parser("gamma-signs", help="sign pattern of the correlation operator")
     common(p, needs_alpha=False)
     p.set_defaults(func=cmd_gamma_signs)
 
-    p = sub.add_parser("chsh-scan", help="numeric CHSH maximum over settings")
+    p = sub.add_parser("chsh-scan", help="exact CHSH maximum over settings")
     common(p)
     p.set_defaults(func=cmd_chsh_scan)
 
@@ -284,10 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "alpha", None) is None and args.command in (
-        "iso-sweep", "witness-check", "measure", "bnt", "chsh-scan",
-    ) and not getattr(args, "state", None):
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 0 if exc.code == 0 else 1
+    if "alpha" in args and args.alpha is None and not getattr(args, "state", None):
         print("witnesskit: --alpha is required (or --state where supported)", file=sys.stderr)
         return 1
     try:

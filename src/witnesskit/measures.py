@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, hs_inner, hs_norm
+from .linalg import TAU_EIG, DimensionMismatchError, hs_inner, hs_norm
 from .states import DensityMatrix, IsotropicParams, ProductEnsemble
 from .witness import SolverConfig, min_over_separable, witness_candidate
 
@@ -28,6 +28,10 @@ class ProjectionConfig:
     tol_gap: float = 1e-9
     max_outer_iters: int = 5000
     solver: SolverConfig = field(default_factory=lambda: SolverConfig(n_starts=8))
+
+    def __post_init__(self):
+        if not self.tol_gap > 0:
+            raise ValueError(f"tol_gap must be > 0, got {self.tol_gap!r}")
 
 
 @dataclass(frozen=True)
@@ -187,17 +191,25 @@ def gbi_violation(
     return sep_min - hs_inner(target.matrix, witness_op).real
 
 
+def bnt_report(target: DensityMatrix, mr: MeasureResult, cfg: SolverConfig) -> BntReport:
+    """Compare the projection's distance D with the maximal Bell-inequality
+    violation B of the witness built at its nearest state.  A nearest state
+    within TAU_EIG of the target defines no witness direction: the target is
+    separable, and B = 0."""
+    b = 0.0
+    if mr.distance > TAU_EIG:
+        cand = witness_candidate(mr.nearest.to_density(), target)
+        b = gbi_violation(target, cand.operator, cfg)
+    return BntReport(mr.distance, b, abs(mr.distance - b), mr)
+
+
 def bnt_check(
     target: DensityMatrix, cfg: ProjectionConfig = ProjectionConfig()
 ) -> BntReport:
-    """Compare the numeric distance to the separable set with the maximal
-    Bell-inequality violation of the witness built at the projection's
-    nearest state; the two agree for a converged run."""
-    mr = nearest_separable(target, cfg)
-    nearest = mr.nearest.to_density()
-    cand = witness_candidate(nearest, target)
-    b = gbi_violation(target, cand.operator, cfg.solver)
-    return BntReport(mr.distance, b, abs(mr.distance - b), mr)
+    """Project ``target`` onto the separable set and compare the distance
+    with the maximal violation (``bnt_report``); the two agree for a
+    converged run."""
+    return bnt_report(target, nearest_separable(target, cfg), cfg.solver)
 
 
 def infinite_d_trend(alphas, d_max: int):

@@ -145,8 +145,7 @@ def test_criterion_09_twirl_invariance():
 
 def test_criterion_10_chsh_maximum():
     ok = all(
-        abs(chsh_max_violation(isotropic(2, alpha), SolverConfig(n_starts=8, seed=0))
-            - 2 * np.sqrt(2) * alpha) <= 1e-3
+        abs(chsh_max_violation(isotropic(2, alpha)) - 2 * np.sqrt(2) * alpha) <= 1e-12
         for alpha in (0.5, 0.8, 1.0)
     )
     report("criterion 10: CHSH maximum equals 2*sqrt(2)*alpha", ok)

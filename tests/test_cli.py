@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from witnesskit import cli
 from witnesskit.cli import RESULT_COLUMNS, _parse_alpha_range, main
-from witnesskit.measures import BntReport, MeasureResult, ProjectionConfig
+from witnesskit.measures import BntReport, MeasureResult, ProjectionConfig, ProjectionError
 from witnesskit.states import ProductEnsemble, density_to_json, isotropic
 
 
@@ -124,13 +128,11 @@ def test_measure_state_file(tmp_path, capsys):
 
 
 def test_chsh_scan(capsys):
-    code, out, _ = run_cli(
-        capsys, "chsh-scan", "--d", "2", "--alpha", "1.0", "--n-starts", "4"
-    )
+    code, out, _ = run_cli(capsys, "chsh-scan", "--d", "2", "--alpha", "1.0")
     assert code == 0
     header, row = out.strip().splitlines()
     values = dict(zip(header.split(","), row.split(",")))
-    assert float(values["chsh_max"]) == pytest.approx(2 * np.sqrt(2), abs=1e-3)
+    assert float(values["chsh_max"]) == pytest.approx(2 * np.sqrt(2), abs=1e-10)
     assert values["violates_chsh"] == "true"
 
 
@@ -260,3 +262,89 @@ def test_malformed_state_json(tmp_path, capsys, payload):
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("witnesskit:")
+
+
+@pytest.mark.parametrize("command,d", [("measure", "2"), ("bnt", "3")])
+def test_separable_target_row(capsys, command, d):
+    code, out, _ = run_cli(capsys, command, "--d", d, "--alpha", "0.2")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    values = dict(zip(RESULT_COLUMNS, row.split(",")))
+    assert float(values["B"]) == 0.0 and float(values["D_closed"]) == 0.0
+    assert float(values["D_numeric"]) <= 1e-9
+    assert values["discrepancy"] == values["D_numeric"]
+    assert values["converged"] == "true"
+
+
+def test_projection_error_partial_row(monkeypatch, capsys):
+    e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    mr = MeasureResult(0.6, ProductEnsemble(((0.5, e0, e0), (0.5, e1, e1))), 1e-3, 7, False)
+
+    def failing_bnt_check(target, cfg):
+        raise ProjectionError("projection gap above tolerance", mr)
+
+    monkeypatch.setattr(cli, "bnt_check", failing_bnt_check)
+    code, out, err = run_cli(capsys, "bnt", "--d", "2", "--alpha", "0.8")
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and err.startswith("witnesskit:")
+    values = dict(zip(RESULT_COLUMNS, out.strip().splitlines()[1].split(",")))
+    assert values["converged"] == "false" and values["iters"] == "7"
+    b = float(values["B"])
+    assert b > 0 and float(values["discrepancy"]) == pytest.approx(abs(0.6 - b), abs=1e-11)
+
+
+@pytest.mark.parametrize("settings,flags", [
+    ([1, 2], ()),
+    ({"n_starts": "abc"}, ()),
+    ({"tol_conv": None}, ()),
+    ({"n_start": 1}, ()),
+    (None, ("--n-starts", "0")),
+    (None, ("--n-starts", "-1")),
+    (None, ("--tol-gap", "0")),
+])
+def test_bad_solver_settings(tmp_path, capsys, settings, flags):
+    if settings is not None:
+        path = tmp_path / "solver.json"
+        path.write_text(json.dumps(settings))
+        flags = ("--solver-config", str(path))
+    code, out, err = run_cli(capsys, "bnt", "--d", "2", "--alpha", "0.8", *flags)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("witnesskit:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("iso-sweep", "--alpha", "0.5", "--seed", "3"),
+    ("gamma-signs", "--n-starts", "4"),
+    ("chsh-scan", "--alpha", "0.5", "--max-iters", "1"),
+    ("witness-check", "--alpha", "0.5", "--tol-gap", "1e-6"),
+    ("bnt", "--d", "x", "--alpha", "0.5"),
+])
+def test_usage_error_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "" and "error:" in err
+
+
+def test_help_exit_code(capsys):
+    code, out, _ = run_cli(capsys, "bnt", "--help")
+    assert code == 0
+    assert "--tol-gap" in out
+
+
+def test_cli_runs_without_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import contextlib, io, sys\n"
+        "from witnesskit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['chsh-scan', '--alpha', '0.5:1.0:0.1']),\n"
+        "             main(['bnt', '--d', '2', '--alpha', '0.8']),\n"
+        "             main(['witness-check', '--d', '2', '--alpha', '0.8'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0] []"

@@ -93,6 +93,12 @@ def test_bnt_check_distance_equals_violation(d, alpha):
     assert report.discrepancy <= 5e-4
 
 
+@pytest.mark.parametrize("tol_gap", [0.0, -1e-9, float("nan")])
+def test_projection_config_rejects_non_positive_tol_gap(tol_gap):
+    with pytest.raises(ValueError):
+        ProjectionConfig(tol_gap=tol_gap)
+
+
 def test_bnt_check_reference_value():
     report = bnt_check(isotropic(2, 0.9))
     assert report.d_value == pytest.approx(np.sqrt(3) / 2 * (0.9 - 1 / 3), abs=5e-4)

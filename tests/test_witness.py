@@ -3,7 +3,7 @@ import pytest
 
 from witnesskit import witness
 from witnesskit.bases import gell_mann_basis, pauli_basis
-from witnesskit.linalg import hs_inner, hs_norm
+from witnesskit.linalg import DimensionMismatchError, hs_inner, hs_norm
 from witnesskit.states import DensityMatrix, gamma_operator, isotropic
 from witnesskit.witness import (
     SolverConfig,
@@ -264,13 +264,66 @@ def test_chsh_operator_rejects_non_unit():
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
 def test_chsh_max_violation_isotropic(alpha):
-    value = chsh_max_violation(isotropic(2, alpha), SolverConfig(n_starts=8, seed=0))
-    assert value == pytest.approx(2 * np.sqrt(2) * alpha, abs=1e-3)
+    value = chsh_max_violation(isotropic(2, alpha))
+    assert value == pytest.approx(2 * np.sqrt(2) * alpha, abs=1e-12)
 
 
 def test_chsh_blind_spot():
     # entangled below 1/sqrt(2) but no CHSH violation
     alpha = 0.5
     assert alpha > 1 / 3
-    value = chsh_max_violation(isotropic(2, alpha), SolverConfig(n_starts=8, seed=0))
+    value = chsh_max_violation(isotropic(2, alpha))
     assert value < 2.0
+
+
+def random_two_qubit_state(rng, rank):
+    z = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    m = z @ z.conj().T
+    return DensityMatrix(m / np.trace(m).real, 2, 2)
+
+
+def correlation_matrix(rho):
+    paulis = pauli_basis().generators
+    return np.array([[hs_inner(np.kron(si, sj), rho.matrix).real for sj in paulis]
+                     for si in paulis])
+
+
+@pytest.mark.parametrize("rank", [4, 1])
+def test_chsh_max_attained_by_svd_settings(rank):
+    # T = sum s_i u_i v_i^T: a = u1, a' = u2, b, b' = cos(t) v1 +- sin(t) v2,
+    # tan(t) = s2 / s1, give 2 (s1 cos(t) + s2 sin(t)) = 2 sqrt(s1^2 + s2^2)
+    rng = np.random.default_rng(41 + rank)
+    for _ in range(10):
+        rho = random_two_qubit_state(rng, rank)
+        u, s, vt = np.linalg.svd(correlation_matrix(rho))
+        theta = np.arctan2(s[1], s[0])
+        b, b_p = (np.cos(theta) * vt[0] + sign * np.sin(theta) * vt[1] for sign in (1, -1))
+        attained = hs_inner(rho.matrix, chsh_operator(u[:, 0], u[:, 1], b, b_p)).real
+        assert attained == pytest.approx(chsh_max_violation(rho), abs=1e-12)
+
+
+@pytest.mark.parametrize("rank", [4, 1])
+def test_chsh_max_bounds_random_settings(rank):
+    rng = np.random.default_rng(51 + rank)
+    for _ in range(10):
+        rho = random_two_qubit_state(rng, rank)
+        best = chsh_max_violation(rho)
+        vs = rng.standard_normal((200, 4, 3))
+        vs /= np.linalg.norm(vs, axis=2, keepdims=True)
+        values = [hs_inner(rho.matrix, chsh_operator(*v)).real for v in vs]
+        assert max(values) <= best + 1e-12
+
+
+def test_chsh_max_rejects_qutrits():
+    with pytest.raises(DimensionMismatchError):
+        chsh_max_violation(isotropic(3, 0.5))
+
+
+@pytest.mark.parametrize("settings", [
+    {"n_starts": 0}, {"n_starts": -1}, {"n_starts": "abc"}, {"n_starts": 2.0},
+    {"max_iters": 0}, {"max_iters": True}, {"seed": -1}, {"seed": None},
+    {"tol_conv": 0.0}, {"tol_conv": None}, {"tol_conv": float("inf")}, {"tol_conv": float("nan")},
+])
+def test_solver_config_rejects_bad_settings(settings):
+    with pytest.raises(ValueError):
+        SolverConfig(**settings)
