@@ -64,6 +64,8 @@ def _parse_alpha_range(spec: str):
     if len(parts) != 3:
         raise ValueError(f"bad alpha range {spec!r}; expected start:end:step")
     start, end, step = (float(p) for p in parts)
+    if not np.isfinite([start, end, step]).all():
+        raise ValueError(f"bad alpha range {spec!r}; start, end and step must be finite")
     if step <= 0:
         raise ValueError("alpha range step must be > 0")
     values = []
@@ -104,7 +106,11 @@ def _solver_config(args, base: SolverConfig = SolverConfig()) -> SolverConfig:
     flags = {"n_starts": args.n_starts, "max_iters": args.max_iters, "seed": args.seed}
     settings.update((k, v) for k, v in flags.items() if v is not None)
     if "seed" not in settings:
-        settings["seed"] = int(os.environ.get("WITNESSKIT_SEED") or 0)
+        env = os.environ.get("WITNESSKIT_SEED") or "0"
+        try:
+            settings["seed"] = int(env)
+        except ValueError:
+            raise ValueError(f"WITNESSKIT_SEED must be an integer, got {env!r}") from None
     return replace(base, **settings)
 
 
@@ -151,6 +157,8 @@ def cmd_gamma_signs(args) -> int:
 
 
 def cmd_witness_check(args) -> int:
+    if (args.state is None) != (args.guess is None):
+        raise ValueError("--state and --guess must be given together")
     if args.state:
         target = _load_state(args.state)
         guess = _load_state(args.guess)
@@ -179,7 +187,12 @@ def _single_alpha(args) -> float:
     return values[0]
 
 
-def _run_projection(args, target, d, alpha) -> int:
+def cmd_measure(args) -> int:
+    if args.state:
+        target, d, alpha = _load_state(args.state), None, None
+    else:
+        d, alpha = args.d, _single_alpha(args)
+        target = isotropic(d, alpha)
     cfg = _projection_config(args)
     exit_code = 0
     try:
@@ -190,19 +203,6 @@ def _run_projection(args, target, d, alpha) -> int:
         print(f"witnesskit: {exc}", file=sys.stderr)
     _emit([_result_row(d, alpha, report)], RESULT_COLUMNS, args)
     return exit_code
-
-
-def cmd_measure(args) -> int:
-    if args.state:
-        target = _load_state(args.state)
-        return _run_projection(args, target, None, None)
-    alpha = _single_alpha(args)
-    return _run_projection(args, isotropic(args.d, alpha), args.d, alpha)
-
-
-def cmd_bnt(args) -> int:
-    alpha = _single_alpha(args)
-    return _run_projection(args, isotropic(args.d, alpha), args.d, alpha)
 
 
 def cmd_chsh_scan(args) -> int:
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bnt", help="compare numeric distance with maximal GBI violation")
     common(p)
     solver(p, projection=True)
-    p.set_defaults(func=cmd_bnt)
+    p.set_defaults(func=cmd_measure, state=None)
 
     p = sub.add_parser("gamma-signs", help="sign pattern of the correlation operator")
     common(p, needs_alpha=False)

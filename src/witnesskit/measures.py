@@ -1,6 +1,7 @@
 """Hilbert-Schmidt distance machinery: closed forms for isotropic states,
-a Frank-Wolfe projection onto the separable set with an exact atom-space
-weight step, the generalized Bell inequality violation, and the
+a projection onto the separable set by one Wolfe nearest-point loop (its
+major cycle is the product-state oracle, its minor cycle an exact
+atom-space weight step), the generalized Bell inequality violation, and the
 distance-equals-violation equality check.
 """
 
@@ -13,10 +14,6 @@ import numpy as np
 from .linalg import TAU_EIG, DimensionMismatchError, hs_inner, hs_norm
 from .states import DensityMatrix, IsotropicParams, ProductEnsemble
 from .witness import SolverConfig, min_over_separable, witness_candidate
-
-# Margin by which an atom's gradient must lie below the support's to enter
-# the corrective step: a few hundred times the rounding of an O(1) gradient.
-_QP_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -87,49 +84,46 @@ def isotropic_distance(d: int, alpha: float) -> float:
 
 
 def _corrective_weights(gram: np.ndarray, lin: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Exact minimizer of w^T G w - 2 c^T w over the probability simplex by
-    Wolfe's nearest-point algorithm (Math. Programming 11, 1976), from a
-    ``w`` optimal on its own support (a vertex, or the previous result).
-    Major cycle: add the atom of least gradient if it is below the support's.
-    Minor cycle: solve the KKT system [[G, 1], [1^T, 0]] on the support, by
-    least squares since G is singular for affinely dependent atoms, and
-    while a weight of its solution is < 0, step towards it up to the
-    boundary and drop the atom that reaches 0.  The result sums to 1."""
+    """Minimizer of w^T G w - 2 c^T w over the probability simplex by the
+    minor cycle of Wolfe's nearest-point algorithm (Math. Programming 11,
+    1976).  ``w`` is optimal on every atom but the last, the oracle's new
+    atom, which enters with weight 0; the Frank-Wolfe loop is the major cycle.
+    Solve the KKT system [[G, 1], [1^T, 0]] on the atoms with weight and the
+    new one, by least squares since G is singular for affinely dependent
+    atoms, and while a weight of its solution is < 0, step towards it up to
+    the boundary, drop the atom that reaches 0 and solve again.  The result
+    sums to 1."""
     w = w.astype(float)
-    support = w > 0
+    s = np.append(np.flatnonzero(w[:-1] > 0), len(w) - 1)
     while True:
-        grad = gram @ w - lin
-        j = np.argmin(np.where(support, np.inf, grad))
-        if support[j] or grad[j] >= grad[support].min() - _QP_TOL:
+        kkt = np.pad(gram[np.ix_(s, s)], (0, 1), constant_values=1.0)
+        kkt[-1, -1] = 0.0
+        v = np.linalg.lstsq(kkt, np.append(lin[s], 1.0), rcond=None)[0][:-1]
+        neg = v < 0
+        if not neg.any():
+            w[s] = v
             return w
-        support[j] = True
-        while True:
-            s = np.flatnonzero(support)
-            kkt = np.pad(gram[np.ix_(s, s)], (0, 1), constant_values=1.0)
-            kkt[-1, -1] = 0.0
-            v = np.linalg.lstsq(kkt, np.append(lin[s], 1.0), rcond=None)[0][:-1]
-            neg = v < 0
-            if not neg.any():
-                break
-            ratio = w[s][neg] / (w[s][neg] - v[neg])
-            theta = ratio.min()
-            if theta == 0:  # atom j cannot lower the objective
-                return w
-            w[s] += theta * (v - w[s])
-            w[s[neg][ratio == theta]] = 0.0
-            support = w > 0
-        w[s] = v
-        support = w > 0
+        ratio = w[s][neg] / (w[s][neg] - v[neg])
+        theta = ratio.min()
+        if theta == 0:  # the new atom cannot lower the objective
+            return w
+        w[s] += theta * (v - w[s])
+        w[s[neg][ratio == theta]] = 0.0
+        s = np.flatnonzero(w > 0)
 
 
 def nearest_separable(
     target: DensityMatrix, cfg: ProjectionConfig = ProjectionConfig()
 ) -> MeasureResult:
-    """Project a state onto the separable set by Frank-Wolfe.
+    """Project a state onto the separable set by fully corrective
+    Frank-Wolfe, which is Wolfe's nearest-point algorithm (Lacoste-Julien &
+    Jaggi, NeurIPS 2015) over the pure product states.
 
     The iterate is an explicit convex combination of pure product states
-    x_i = psi_i (x) phi_i.  Each step adds the product state minimizing the
-    linearized objective (the witness-side solver) and re-optimizes all
+    x_i = psi_i (x) phi_i.  Each step is a major cycle: the product-state
+    oracle (the witness-side solver) finds the atom minimizing the
+    linearized objective, and unless the gap test stops the loop, the atom
+    enters and the minor cycle (``_corrective_weights``) re-optimizes the
     weights exactly: the squared distance is w^T G w - 2 c^T w plus a
     constant, with G_ij = |<x_i|x_j>|^2 and c_i = <x_i|target|x_i>.  Atoms
     whose weight reaches 0 are dropped.  The final linearization gap

@@ -182,14 +182,10 @@ def gamma_signs(d: int, basis: BasisSet | None = None) -> np.ndarray:
         idx = np.unravel_index(np.argmax(np.abs(t.imag)), t.shape)
         raise GammaFormError(d, idx[0], idx[1], complex(t[idx]))
     t = t.real
-    n = d**2 - 1
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if abs(abs(t[i, i]) - 1) > TAU_EIG:
-                    raise GammaFormError(d, i, i, t[i, i])
-            elif abs(t[i, j]) > TAU_EIG:
-                raise GammaFormError(d, i, j, t[i, j])
+    bad = np.argwhere(np.abs(np.abs(t) - np.eye(d**2 - 1)) > TAU_EIG)
+    if len(bad):
+        i, j = bad[0]
+        raise GammaFormError(d, i, j, t[i, j])
     return np.sign(np.diag(t)).astype(int)
 
 

@@ -89,6 +89,29 @@ def test_witness_check_bad_guess(capsys):
     assert float(values["sep_minimum"]) < -1e-3
 
 
+@pytest.mark.parametrize("pair", ["state", "guess"])
+def test_witness_check_needs_state_and_guess(tmp_path, capsys, pair):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(density_to_json(isotropic(2, 0.8))))
+    code, out, err = run_cli(capsys, "witness-check", "--d", "2", "--alpha", "0.8",
+                             f"--{pair}", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "--state" in err and "--guess" in err
+
+
+def test_witness_check_state_files(tmp_path, capsys):
+    target, guess = tmp_path / "target.json", tmp_path / "guess.json"
+    target.write_text(json.dumps(density_to_json(isotropic(2, 0.8))))
+    guess.write_text(json.dumps(density_to_json(isotropic(2, 1 / 3))))
+    code, out, _ = run_cli(capsys, "witness-check", "--state", str(target),
+                           "--guess", str(guess), "--n-starts", "8")
+    assert code == 0
+    values = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+    assert values["d"] == "" and values["is_witness"] == "true"
+
+
 def test_bnt_csv_row(capsys):
     code, out, _ = run_cli(capsys, "bnt", "--d", "2", "--alpha", "0.9", "--seed", "0")
     assert code == 0
@@ -148,6 +171,14 @@ def test_exit_code_on_bad_alpha(capsys):
     assert err.startswith("witnesskit:")
 
 
+@pytest.mark.parametrize("spec", ["0:inf:0.1", "0:1:nan", "nan:1:0.1", "-inf:1:0.1", "0:nan:0.1"])
+def test_non_finite_alpha_range(capsys, spec):
+    code, out, err = run_cli(capsys, "iso-sweep", "--d", "2", f"--alpha={spec}")
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "finite" in err
+
+
 def test_missing_alpha(capsys):
     code, _, err = run_cli(capsys, "bnt", "--d", "2")
     assert code == 1
@@ -190,6 +221,14 @@ def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("WITNESSKIT_SEED", "99")
     _, override, _ = run_cli(capsys, "bnt", "--d", "2", "--alpha", "0.8", "--seed", "7")
     assert override == flag_out
+
+
+def test_seed_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("WITNESSKIT_SEED", "abc")
+    code, out, err = run_cli(capsys, "bnt", "--alpha", "0.8")
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "WITNESSKIT_SEED" in err
 
 
 def test_solver_config_file(tmp_path, capsys):

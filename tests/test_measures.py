@@ -126,19 +126,37 @@ def test_projection_rejects_single_party_state():
         nearest_separable(DensityMatrix(np.eye(4) / 4, 4, 1))
 
 
-def test_corrective_weights_satisfy_kkt():
-    # min w^T G w - 2 c^T w over the simplex, for more atoms than the
-    # dimension of their span (G is singular) and from a vertex start
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((12, 6))
-    gram, lin = a @ a.T, rng.standard_normal(12)
-    w = _corrective_weights(gram, lin, np.eye(12)[0])
+def _minor_cycle_case(seed, shift):
+    # eight atoms on a 3-dimensional affine plane of R^6 (a singular Gram
+    # matrix) and a target off the plane, so any interior weights on them are
+    # optimal; a ninth atom is moved ``shift`` times the target's offset
+    # from the plane, which lowers its gradient for shift > 0
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    atoms = rng.standard_normal(6) + rng.standard_normal((8, 3)) @ u[:, :3].T
+    w = rng.dirichlet(np.ones(8))
+    offset = u[:, 3:] @ rng.standard_normal(3)
+    new = atoms[0] + shift * offset + u[:, :3] @ rng.standard_normal(3)
+    a = np.vstack([atoms, new])
+    return a @ a.T, a @ (w @ atoms + offset), np.append(w, 0.0)
+
+
+def test_corrective_weights_minor_cycle():
+    gram, lin, w0 = _minor_cycle_case(0, 1.0)
+    grad0 = gram @ w0 - lin
+    assert np.ptp(grad0[:-1]) <= 1e-12 and grad0[-1] < grad0[0]
+    w = _corrective_weights(gram, lin, w0)
     assert np.all(w >= 0)
     assert abs(w.sum() - 1) <= 1e-12
-    grad = 2 * (gram @ w - lin)
     on = w > 0
-    assert np.ptp(grad[on]) <= 1e-10
-    assert grad[~on].min() >= grad[on].max() - 1e-10
+    assert np.ptp((gram @ w - lin)[on]) <= 1e-10
+    assert w[-1] > 0
+    assert np.any(w[:-1] == 0)  # the cycle stepped to the boundary
+
+
+def test_corrective_weights_keeps_a_useless_atom_out():
+    gram, lin, w0 = _minor_cycle_case(0, -1.0)
+    assert np.array_equal(_corrective_weights(gram, lin, w0), w0)
 
 
 def test_nearest_separable_non_isotropic_2x3():
@@ -153,6 +171,28 @@ def test_nearest_separable_non_isotropic_2x3():
     assert np.all(weights > 0)
     assert abs(weights.sum() - 1) <= 1e-12
     # PPT is separability at 2x3, so the nearest state must be PPT
+    assert is_ppt(res.nearest.to_density())
+
+
+def test_nearest_separable_rank_two_2x2():
+    rng = np.random.default_rng(2)
+    while True:
+        vs = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        mix = np.einsum("k,ka,kb->ab", rng.dirichlet(np.ones(2)), vs, vs.conj())
+        target = DensityMatrix(0.9 * mix + 0.1 * np.eye(4) / 4, 2, 2)
+        if not is_ppt(target):
+            break
+    res = nearest_separable(target)
+    assert res.converged and res.gap_certificate < ProjectionConfig().tol_gap
+    weights = np.array([w for w, _, _ in res.nearest.terms])
+    assert abs(weights.sum() - 1) <= 1e-12
+    # the final weights are optimal on their atoms: equal gradients
+    x = np.array([np.kron(psi, phi) for _, psi, phi in res.nearest.terms])
+    gram = np.abs(x.conj() @ x.T) ** 2
+    lin = np.einsum("ka,ab,kb->k", x.conj(), target.matrix, x).real
+    assert np.ptp(gram @ weights - lin) <= 1e-10
+    # PPT is separability at 2x2
     assert is_ppt(res.nearest.to_density())
 
 
