@@ -13,11 +13,9 @@ from .bases import (
     single_bloch_vector,
 )
 from .linalg import (
-    eig_hermitian,
     hs_inner,
     hs_norm,
     partial_transpose,
-    tensor_product,
 )
 from .measures import (
     BntReport,
@@ -26,7 +24,6 @@ from .measures import (
     ProjectionError,
     bnt_check,
     gbi_violation,
-    hs_distance,
     hs_measure_isotropic,
     infinite_d_trend,
     nearest_separable,

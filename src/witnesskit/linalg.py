@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: tensor products, Hilbert-Schmidt geometry,
-Hermitian eigendecomposition and partial transposition.
+"""Dense complex-matrix kernel: Hilbert-Schmidt geometry, the Hermiticity
+check and partial transposition.
 
 Everything downstream (bases, states, witnesses, measures) is built on the
 handful of primitives in this module.  Matrices are plain square complex
@@ -30,21 +30,12 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(a).T
-
-
 def require_hermitian(a, tol: float = TAU_HERM) -> np.ndarray:
     m = as_matrix(a)
-    dev = float(np.max(np.abs(m - dagger(m))))
+    dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.1e})")
     return m
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product a ⊗ b."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def hs_inner(a, b) -> complex:
@@ -58,20 +49,6 @@ def hs_inner(a, b) -> complex:
 def hs_norm(a) -> float:
     """Hilbert-Schmidt norm sqrt(Tr a† a)."""
     return float(np.linalg.norm(as_matrix(a)))
-
-
-def eig_hermitian(a, tol: float = TAU_HERM):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` sorted ascending and unitary
-    ``v`` whose columns are the matching eigenvectors.
-    """
-    m = require_hermitian(a, tol)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise RuntimeError(f"Hermitian eigensolver did not converge: {exc}") from exc
-    return w, v
 
 
 def partial_transpose(rho, d_a: int, d_b: int, subsystem: str = "B") -> np.ndarray:

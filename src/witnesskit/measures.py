@@ -1,7 +1,8 @@
 """Hilbert-Schmidt distance machinery: closed forms for isotropic states,
 a projection onto the separable set by one Wolfe nearest-point loop (its
-major cycle is the product-state oracle, its minor cycle an exact
-atom-space weight step), the generalized Bell inequality violation, and the
+major cycle is the product-state oracle, whose endpoints from every start
+may all enter; its minor cycle an exact atom-space weight step solved by
+LU), the generalized Bell inequality violation, and the
 distance-equals-violation equality check.
 """
 
@@ -11,24 +12,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TAU_EIG, DimensionMismatchError, hs_inner, hs_norm
+from .linalg import TAU_EIG, hs_inner, hs_norm
 from .states import DensityMatrix, IsotropicParams, ProductEnsemble
-from .witness import SolverConfig, min_over_separable, witness_candidate
+from .witness import SolverConfig, check_settings, min_over_separable, witness_candidate
 
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Settings for the Frank-Wolfe projection onto the separable set; the
-    product-state minimizer of its linear subproblem may be lighter than the
-    standalone default because each call is warm-started."""
+    """Settings for the Frank-Wolfe projection onto the separable set: a
+    positive finite gap tolerance, an iteration limit >= 1 and the
+    product-state minimizer of its linear subproblem, which may be lighter
+    than the standalone default because each call is warm-started."""
 
     tol_gap: float = 1e-9
     max_outer_iters: int = 5000
     solver: SolverConfig = field(default_factory=lambda: SolverConfig(n_starts=8))
 
     def __post_init__(self):
-        if not self.tol_gap > 0:
-            raise ValueError(f"tol_gap must be > 0, got {self.tol_gap!r}")
+        check_settings(self, (("max_outer_iters", 1),), ("tol_gap",))
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,6 @@ class BntReport:
     measure: MeasureResult
 
 
-def hs_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
-    """Hilbert-Schmidt distance ||r1 - r2||."""
-    if r1.dim != r2.dim:
-        raise DimensionMismatchError("state dimensions differ")
-    return hs_norm(r1.matrix - r2.matrix)
-
-
 def hs_measure_isotropic(d: int, alpha: float) -> float:
     """Closed-form distance of an entangled isotropic state to the separable
     set: sqrt(d^2-1)/d * (alpha - 1/(d+1)); the nearest separable state is
@@ -86,19 +80,28 @@ def isotropic_distance(d: int, alpha: float) -> float:
 def _corrective_weights(gram: np.ndarray, lin: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Minimizer of w^T G w - 2 c^T w over the probability simplex by the
     minor cycle of Wolfe's nearest-point algorithm (Math. Programming 11,
-    1976).  ``w`` is optimal on every atom but the last, the oracle's new
-    atom, which enters with weight 0; the Frank-Wolfe loop is the major cycle.
+    1976).  ``w`` is optimal on every atom but the last, an oracle endpoint,
+    which enters with weight 0; the Frank-Wolfe loop is the major cycle.
     Solve the KKT system [[G, 1], [1^T, 0]] on the atoms with weight and the
-    new one, by least squares since G is singular for affinely dependent
-    atoms, and while a weight of its solution is < 0, step towards it up to
-    the boundary, drop the atom that reaches 0 and solve again.  The result
-    sums to 1."""
+    new one by LU, or by least squares if LU fails or leaves a relative
+    residual above 1e-10 (G is singular for affinely dependent atoms), and
+    while a weight of its solution is < 0, step towards it up to the
+    boundary, drop the atom that reaches 0 and solve again.  The result sums
+    to 1."""
     w = w.astype(float)
     s = np.append(np.flatnonzero(w[:-1] > 0), len(w) - 1)
     while True:
         kkt = np.pad(gram[np.ix_(s, s)], (0, 1), constant_values=1.0)
         kkt[-1, -1] = 0.0
-        v = np.linalg.lstsq(kkt, np.append(lin[s], 1.0), rcond=None)[0][:-1]
+        rhs = np.append(lin[s], 1.0)
+        try:
+            v = np.linalg.solve(kkt, rhs)
+            singular = np.linalg.norm(kkt @ v - rhs) > 1e-10 * np.linalg.norm(rhs)
+        except np.linalg.LinAlgError:
+            singular = True
+        if singular:
+            v = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        v = v[:-1]
         neg = v < 0
         if not neg.any():
             w[s] = v
@@ -121,39 +124,49 @@ def nearest_separable(
 
     The iterate is an explicit convex combination of pure product states
     x_i = psi_i (x) phi_i.  Each step is a major cycle: the product-state
-    oracle (the witness-side solver) finds the atom minimizing the
-    linearized objective, and unless the gap test stops the loop, the atom
-    enters and the minor cycle (``_corrective_weights``) re-optimizes the
+    oracle (the witness-side solver) minimizes the linearized objective from
+    every start; the gap of its minimizer certifies the squared distance and
+    stops the loop below ``cfg.tol_gap``.  Otherwise each endpoint, in order
+    of value, whose gap at the current iterate is still >= ``cfg.tol_gap``
+    enters, and the minor cycle (``_corrective_weights``) re-optimizes the
     weights exactly: the squared distance is w^T G w - 2 c^T w plus a
-    constant, with G_ij = |<x_i|x_j>|^2 and c_i = <x_i|target|x_i>.  Atoms
-    whose weight reaches 0 are dropped.  The final linearization gap
-    certifies suboptimality of the squared distance.
+    constant, with c_i = <x_i|target|x_i> and G_ij = |<x_i|x_j>|^2, which is
+    |<psi_i|psi_j>|^2 |<phi_i|phi_j>|^2 and grows by one row per entering
+    atom.  Atoms whose weight reaches 0 are dropped with their row.
     """
     d_a, d_b = target.d_a, target.d_b
     if d_b == 1:
         raise ValueError("projection needs a bipartite state")
 
     # initial atom: product state most aligned with the target
-    _, (psi, phi) = min_over_separable(-target.matrix, d_a, d_b, cfg.solver)
+    value, (psi, phi) = min_over_separable(-target.matrix, d_a, d_b, cfg.solver)
     psis, phis, w = psi[None], phi[None], np.ones(1)
+    gram, lin = np.ones((1, 1)), np.array([-value])
     last_phi = phi
     for it in range(1, cfg.max_outer_iters + 1):
         x = (psis[:, :, None] * phis[:, None, :]).reshape(len(w), -1)
         rho = (x.T * w) @ x.conj()
         grad = 2 * (rho - target.matrix)
-        v_val, (v_psi, v_phi) = min_over_separable(
-            grad, d_a, d_b, cfg.solver, extra_starts=(last_phi,)
+        v_vals, (v_psis, v_phis) = min_over_separable(
+            grad, d_a, d_b, cfg.solver, extra_starts=(last_phi,), every_start=True
         )
-        last_phi = v_phi
-        gap = hs_inner(rho, grad).real - v_val
+        last_phi = v_phis[0]
+        gap = hs_inner(rho, grad).real - v_vals[0]
         if gap < cfg.tol_gap:
             break
-        psis, phis = np.vstack([psis, v_psi]), np.vstack([phis, v_phi])
-        x = np.vstack([x, np.kron(v_psi, v_phi)])
-        gram = np.abs(np.einsum("ia,ja->ij", x.conj(), x)) ** 2
-        lin = np.einsum("ka,ab,kb->k", x.conj(), target.matrix, x).real
-        w = _corrective_weights(gram, lin, np.append(w, 0.0))
-        psis, phis, w = psis[w > 0], phis[w > 0], w[w > 0]
+        v_x = (v_psis[:, :, None] * v_phis[:, None, :]).reshape(len(v_vals), -1)
+        v_lin = np.einsum("ka,ab,kb->k", v_x.conj(), target.matrix, v_x).real
+        for psi, phi, c in zip(v_psis, v_phis, v_lin):
+            row = np.abs(psis.conj() @ psi) ** 2 * np.abs(phis.conj() @ phi) ** 2
+            # <rho, grad> - <x|grad|x> at the current iterate, grad being 2 (G w - c)
+            if 2 * (w @ (gram @ w - lin) - (row @ w - c)) < cfg.tol_gap:
+                continue
+            gram = np.block([[gram, row[:, None]], [row, 1.0]])
+            lin = np.append(lin, c)
+            w = _corrective_weights(gram, lin, np.append(w, 0.0))
+            keep = w > 0
+            psis, phis = np.vstack([psis, psi])[keep], np.vstack([phis, phi])[keep]
+            gram, lin, w = gram[np.ix_(keep, keep)], lin[keep], w[keep]
 
     ensemble = ProductEnsemble(tuple(zip(w, psis, phis)))
     result = MeasureResult(

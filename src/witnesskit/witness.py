@@ -54,13 +54,21 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("n_starts", 1), ("max_iters", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        tol = self.tol_conv
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
-            raise ValueError(f"tol_conv must be a positive finite number, got {tol!r}")
+        check_settings(self, (("n_starts", 1), ("max_iters", 1), ("seed", 0)), ("tol_conv",))
+
+
+def check_settings(config, integers, positive_finite):
+    """Raise ValueError unless each setting of ``config`` named in ``integers``
+    is an integer >= its bound and each named in ``positive_finite`` is a
+    positive finite number."""
+    for name, low in integers:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    for name in positive_finite:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < np.inf:
+            raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,8 @@ def min_over_separable(
     d_b: int,
     cfg: SolverConfig = SolverConfig(),
     extra_starts=(),
+    *,
+    every_start: bool = False,
 ):
     """Global minimum of <psi x phi| a |psi x phi> over unit vectors.
 
@@ -126,7 +136,9 @@ def min_over_separable(
 
     Returns ``(value, (psi, phi))``, the value being the Rayleigh value of
     the returned unit vectors.  ``extra_starts`` may supply additional
-    initial phi vectors (e.g. warm starts).
+    initial phi vectors (e.g. warm starts).  With ``every_start`` it returns
+    the endpoints of all starts instead, sorted by value, as
+    ``(values, (psis, phis))``; row 0 is the minimizer above.
     """
     m = require_hermitian(a)
     if m.shape[0] != d_a * d_b:
@@ -165,6 +177,9 @@ def min_over_separable(
             best_value=float(value.min()),
             iterations=cfg.max_iters,
         )
+    if every_start:
+        order = np.argsort(value, kind="stable")
+        return value[order], (psi[order], phi[order])
     k = int(np.argmin(value))
     return float(value[k]), (psi[k], phi[k])
 

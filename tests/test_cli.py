@@ -340,6 +340,7 @@ def test_projection_error_partial_row(monkeypatch, capsys):
     (None, ("--n-starts", "0")),
     (None, ("--n-starts", "-1")),
     (None, ("--tol-gap", "0")),
+    (None, ("--tol-gap", "inf")),
 ])
 def test_bad_solver_settings(tmp_path, capsys, settings, flags):
     if settings is not None:

@@ -6,7 +6,6 @@ from witnesskit.measures import (
     ProjectionConfig,
     bnt_check,
     gbi_violation,
-    hs_distance,
     hs_measure_isotropic,
     _corrective_weights,
     infinite_d_trend,
@@ -19,13 +18,13 @@ from witnesskit.witness import SolverConfig, optimal_witness_isotropic
 def test_hs_distance_isotropic_pair():
     # ||rho_a - rho_b|| = sqrt(d^2-1)/d |a - b|
     for d, a, b in [(2, 0.9, 0.3), (3, 1.0, 0.25)]:
-        got = hs_distance(isotropic(d, a), isotropic(d, b))
+        got = hs_norm(isotropic(d, a).matrix - isotropic(d, b).matrix)
         assert got == pytest.approx(np.sqrt(d**2 - 1) / d * abs(a - b))
 
 
 def test_hs_distance_self_is_zero():
     rho = isotropic(3, 0.5)
-    assert hs_distance(rho, rho) == 0.0
+    assert hs_norm(rho.matrix - rho.matrix) == 0.0
 
 
 def test_hs_measure_isotropic_values():
@@ -93,10 +92,16 @@ def test_bnt_check_distance_equals_violation(d, alpha):
     assert report.discrepancy <= 5e-4
 
 
-@pytest.mark.parametrize("tol_gap", [0.0, -1e-9, float("nan")])
+@pytest.mark.parametrize("tol_gap", [0.0, -1e-9, float("nan"), float("inf")])
 def test_projection_config_rejects_non_positive_tol_gap(tol_gap):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tol_gap"):
         ProjectionConfig(tol_gap=tol_gap)
+
+
+@pytest.mark.parametrize("max_outer_iters", [0, -3, 2.5, True])
+def test_projection_config_rejects_bad_max_outer_iters(max_outer_iters):
+    with pytest.raises(ValueError, match="max_outer_iters"):
+        ProjectionConfig(max_outer_iters=max_outer_iters)
 
 
 def test_bnt_check_reference_value():
@@ -109,7 +114,7 @@ def test_distance_upper_bounded_by_explicit_separable_state():
     # state is the minimizer
     alpha = 0.7
     target = isotropic(3, alpha)
-    upper = hs_distance(isotropic(3, 0.25), target)
+    upper = hs_norm(isotropic(3, 0.25).matrix - target.matrix)
     res = nearest_separable(target)
     assert res.distance <= upper + 1e-9
     assert upper == pytest.approx(hs_measure_isotropic(3, alpha), abs=1e-12)
@@ -159,6 +164,27 @@ def test_corrective_weights_keeps_a_useless_atom_out():
     assert np.array_equal(_corrective_weights(gram, lin, w0), w0)
 
 
+def test_corrective_weights_duplicate_atom():
+    # four affinely independent atoms in R^6 with optimal interior weights,
+    # then an exact copy of the first: the KKT system is exactly singular, so
+    # LU fails and least squares splits the first atom's weight evenly
+    rng = np.random.default_rng(1)
+    atoms = rng.standard_normal((4, 6))
+    w = rng.dirichlet(np.ones(4))
+    normal = np.linalg.svd((atoms[1:] - atoms[0]).T)[0][:, 3:] @ rng.standard_normal(3)
+    a = np.vstack([atoms, atoms[0]])
+    gram, lin = a @ a.T, a @ (w @ atoms + normal)
+    kkt = np.pad(gram, (0, 1), constant_values=1.0)
+    kkt[-1, -1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(kkt, np.append(lin, 1.0))
+    got = _corrective_weights(gram, lin, np.append(w, 0.0))
+    assert abs(got.sum() - 1) <= 1e-12
+    assert got[0] == pytest.approx(w[0] / 2, abs=1e-12)
+    assert got[-1] == pytest.approx(w[0] / 2, abs=1e-12)
+    assert np.allclose(got[1:4], w[1:], atol=1e-12)
+
+
 def test_nearest_separable_non_isotropic_2x3():
     rng = np.random.default_rng(8)
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -174,6 +200,17 @@ def test_nearest_separable_non_isotropic_2x3():
     assert is_ppt(res.nearest.to_density())
 
 
+def _assert_optimal_weights(res, target):
+    """The final weights sum to 1 and are optimal on their atoms: equal
+    gradients (G w - c)_i."""
+    weights = np.array([w for w, _, _ in res.nearest.terms])
+    x = np.array([np.kron(psi, phi) for _, psi, phi in res.nearest.terms])
+    gram = np.abs(x.conj() @ x.T) ** 2
+    lin = np.einsum("ka,ab,kb->k", x.conj(), target.matrix, x).real
+    assert abs(weights.sum() - 1) <= 1e-12
+    assert np.ptp(gram @ weights - lin) <= 1e-10
+
+
 def test_nearest_separable_rank_two_2x2():
     rng = np.random.default_rng(2)
     while True:
@@ -185,15 +222,43 @@ def test_nearest_separable_rank_two_2x2():
             break
     res = nearest_separable(target)
     assert res.converged and res.gap_certificate < ProjectionConfig().tol_gap
-    weights = np.array([w for w, _, _ in res.nearest.terms])
-    assert abs(weights.sum() - 1) <= 1e-12
-    # the final weights are optimal on their atoms: equal gradients
-    x = np.array([np.kron(psi, phi) for _, psi, phi in res.nearest.terms])
-    gram = np.abs(x.conj() @ x.T) ** 2
-    lin = np.einsum("ka,ab,kb->k", x.conj(), target.matrix, x).real
-    assert np.ptp(gram @ weights - lin) <= 1e-10
+    _assert_optimal_weights(res, target)
     # PPT is separability at 2x2
     assert is_ppt(res.nearest.to_density())
+
+
+def _swap(d):
+    return np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+
+
+def werner(d, p):
+    """p P_a / n_a + (1 - p) P_s / n_s, with P_a, P_s the projectors onto the
+    antisymmetric and symmetric subspaces of C^d x C^d."""
+    n_a, n_s = d * (d - 1) / 2, d * (d + 1) / 2
+    p_a, p_s = (np.eye(d * d) - _swap(d)) / 2, (np.eye(d * d) + _swap(d)) / 2
+    return DensityMatrix(p * p_a / n_a + (1 - p) * p_s / n_s, d, d)
+
+
+def werner_distance(d, p):
+    """Closed form for p > 1/2 (Werner 1989; Vollbrecht & Werner 2001): the
+    nearest separable state is the Werner state at p = 1/2."""
+    n_a, n_s = d * (d - 1) / 2, d * (d + 1) / 2
+    return (p - 0.5) * np.sqrt(1 / n_a + 1 / n_s)
+
+
+def test_werner_distance_closed_form():
+    assert werner_distance(3, 0.8) == pytest.approx(
+        hs_norm(werner(3, 0.8).matrix - werner(3, 0.5).matrix), abs=1e-15)
+    assert is_ppt(werner(3, 0.5)) and not is_ppt(werner(3, 0.5 + 1e-6))
+
+
+def test_nearest_separable_werner_3x3():
+    target = werner(3, 0.8)
+    res = nearest_separable(target)
+    assert res.converged
+    excess = res.distance**2 - werner_distance(3, 0.8) ** 2
+    assert 0 <= excess <= res.gap_certificate + 1e-12
+    _assert_optimal_weights(res, target)
 
 
 def test_infinite_d_trend():
