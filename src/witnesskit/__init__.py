@@ -10,7 +10,6 @@ from .bases import (
     gell_mann_basis,
     generalized_basis,
     pauli_basis,
-    single_bloch_vector,
 )
 from .linalg import (
     hs_inner,

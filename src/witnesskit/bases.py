@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TAU_EIG, TAU_HERM, DimensionMismatchError, hs_inner
+from .linalg import TAU_EIG, TAU_HERM, DimensionMismatchError
 
 #: generator classes, in the order used by :func:`generalized_basis`
 SYMMETRIC = "symmetric"
@@ -62,20 +62,13 @@ class BlochVector:
 
 
 def pauli_basis() -> BasisSet:
-    """The Pauli matrices sigma^x, sigma^y, sigma^z."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return BasisSet(2, (sx, sy, sz), (SYMMETRIC, ANTISYMMETRIC, DIAGONAL))
+    """The Pauli matrices sigma^x, sigma^y, sigma^z: the d = 2 generators."""
+    return generalized_basis(2)
 
 
 # For d = 3 the block ordering (symmetric, antisymmetric, diagonal) is
 # permuted into the conventional Gell-Mann order lambda^1..lambda^8.
 _GELL_MANN_PERMUTATION = (0, 3, 6, 1, 4, 2, 5, 7)
-_GELL_MANN_LABELS = (
-    SYMMETRIC, ANTISYMMETRIC, DIAGONAL, SYMMETRIC,
-    ANTISYMMETRIC, SYMMETRIC, ANTISYMMETRIC, DIAGONAL,
-)
 
 
 def gell_mann_basis() -> BasisSet:
@@ -112,7 +105,7 @@ def generalized_basis(d: int) -> BasisSet:
     labels = [SYMMETRIC] * len(sym) + [ANTISYMMETRIC] * len(anti) + [DIAGONAL] * len(diag)
     if d == 3:
         gens = [gens[i] for i in _GELL_MANN_PERMUTATION]
-        labels = list(_GELL_MANN_LABELS)
+        labels = [labels[i] for i in _GELL_MANN_PERMUTATION]
     basis = BasisSet(d, tuple(gens), tuple(labels))
     basis.validate()
     return basis
@@ -162,18 +155,3 @@ def bloch_compose(v: BlochVector, basis_a: BasisSet, basis_b: BasisSet) -> np.nd
     r4 = r4 + np.einsum("j,ab,jcd->acbd", v.b, np.eye(da), gb)
     r4 = r4 + np.einsum("ij,iab,jcd->acbd", v.c, ga, gb)
     return r4.reshape(da * db, da * db) / (da * db)
-
-
-def single_bloch_vector(omega, basis: BasisSet) -> np.ndarray:
-    """Bloch vector n of a single qudit state in the convention
-    omega = (1/d)(1 + sqrt(d(d-1)/2) n_i g^i).
-
-    |n| = 1 for pure states, |n| < 1 for mixed ones.
-    """
-    d = basis.d
-    omega = np.asarray(omega, dtype=complex)
-    scale = np.sqrt(d * (d - 1) / 2)
-    n = np.array([hs_inner(g, omega) for g in basis.generators]) * d / (2 * scale)
-    if np.max(np.abs(n.imag)) > TAU_HERM:
-        raise ValueError("non-real Bloch vector: input is not Hermitian")
-    return n.real

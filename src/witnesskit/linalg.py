@@ -32,6 +32,8 @@ def as_matrix(a) -> np.ndarray:
 
 def require_hermitian(a, tol: float = TAU_HERM) -> np.ndarray:
     m = as_matrix(a)
+    if not np.isfinite(m).all():
+        raise ValueError(f"matrix has {np.count_nonzero(~np.isfinite(m))} non-finite (NaN or inf) entries")
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.1e})")
@@ -51,8 +53,8 @@ def hs_norm(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
 
 
-def partial_transpose(rho, d_a: int, d_b: int, subsystem: str = "B") -> np.ndarray:
-    """Partial transpose over one subsystem of a bipartite operator.
+def partial_transpose(rho, d_a: int, d_b: int) -> np.ndarray:
+    """Partial transpose over the second tensor factor of a bipartite operator.
 
     ``rho`` acts on a (d_a * d_b)-dimensional space with the first tensor
     factor of size ``d_a``.  Applying the map twice gives back the input.
@@ -62,11 +64,4 @@ def partial_transpose(rho, d_a: int, d_b: int, subsystem: str = "B") -> np.ndarr
         raise DimensionMismatchError(
             f"matrix dim {m.shape[0]} != d_a*d_b = {d_a * d_b}"
         )
-    if subsystem not in ("A", "B"):
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    r4 = m.reshape(d_a, d_b, d_a, d_b)
-    if subsystem == "B":
-        r4 = r4.transpose(0, 3, 2, 1)
-    else:
-        r4 = r4.transpose(2, 1, 0, 3)
-    return r4.reshape(d_a * d_b, d_a * d_b)
+    return m.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(d_a * d_b, d_a * d_b)

@@ -9,12 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisSet, generalized_basis
+from .bases import BasisSet, bloch_decompose, generalized_basis
 from .linalg import (
     TAU_EIG,
     TAU_HERM,
     TAU_PSD,
-    as_matrix,
     hs_norm,
     partial_transpose,
     require_hermitian,
@@ -52,14 +51,15 @@ class DensityMatrix:
     def __post_init__(self):
         if self.d_a < 1 or self.d_b < 1:
             raise ValueError(f"need d_a, d_b >= 1, got d_a = {self.d_a}, d_b = {self.d_b}")
-        m = require_hermitian(as_matrix(self.matrix))
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail as inf or nan
+            m = require_hermitian(self.matrix)
+            tr = np.trace(m)
         object.__setattr__(self, "matrix", m)
         if m.shape[0] != self.d_a * self.d_b:
             raise ValueError(
                 f"matrix dim {m.shape[0]} != d_a*d_b = {self.d_a * self.d_b}"
             )
-        tr = np.trace(m)
-        if abs(tr - 1) > TAU_HERM:
+        if not abs(tr - 1) <= TAU_HERM:
             raise ValueError(f"trace is {tr:.12g}, expected 1")
         w = np.linalg.eigvalsh(m)
         if w[0] < -TAU_PSD:
@@ -165,23 +165,17 @@ def isotropic_separability(d: int, alpha: float) -> str:
 def gamma_signs(d: int, basis: BasisSet | None = None) -> np.ndarray:
     """Sign vector c with d^2 |phi+><phi+| - 1 = (d/2) sum_i c_i g^i x g^i.
 
-    Computed, not assumed: the expansion of the maximally entangled projector
-    in the product generator basis is evaluated exactly, and any cross term
-    or non-unit coefficient raises :class:`GammaFormError`.
+    Computed, not assumed: the maximally entangled projector is expanded in
+    the product generator basis by :func:`~witnesskit.bases.bloch_decompose`,
+    and any cross term or non-unit coefficient raises :class:`GammaFormError`.
+    Generators that are not Hermitian give non-real coefficients, on which
+    ``bloch_decompose`` raises ``ValueError``.
     """
     if basis is None:
         basis = generalized_basis(d)
     v = max_entangled(d)
-    m = d**2 * np.outer(v, v.conj()) - np.eye(d * d)
-    # Gamma = (2/d) (d^2 P - 1); coefficient of g^i x g^j in Gamma is
-    # <g^i x g^j, Gamma> / 4 since each product generator has norm^2 = 4.
-    g = basis.stack()
-    m4 = m.reshape(d, d, d, d)
-    t = np.einsum("acbd,iba,jdc->ij", m4, g, g) / (2 * d)
-    if np.max(np.abs(t.imag)) > TAU_EIG:
-        idx = np.unravel_index(np.argmax(np.abs(t.imag)), t.shape)
-        raise GammaFormError(d, idx[0], idx[1], complex(t[idx]))
-    t = t.real
+    # |phi+><phi+| = (1/d^2)(1 + (d/2) Gamma): its correlation block is (d/2) Gamma
+    t = bloch_decompose(np.outer(v, v.conj()), basis, basis).c * 2 / d
     bad = np.argwhere(np.abs(np.abs(t) - np.eye(d**2 - 1)) > TAU_EIG)
     if len(bad):
         i, j = bad[0]
@@ -238,7 +232,7 @@ def twirl_invariance_check(rho: DensityMatrix, trials: int, seed: int = 0) -> fl
 def is_ppt(rho: DensityMatrix) -> bool:
     """Positivity of the partial transpose; equivalent to separability for
     total dimension <= 6, necessary otherwise."""
-    pt = partial_transpose(rho.matrix, rho.d_a, rho.d_b, "B")
+    pt = partial_transpose(rho.matrix, rho.d_a, rho.d_b)
     return bool(np.linalg.eigvalsh(pt)[0] >= -TAU_PSD)
 
 
@@ -251,10 +245,12 @@ def density_to_json(rho: DensityMatrix) -> dict:
 def density_from_json(obj: dict) -> DensityMatrix:
     """Inverse of ``density_to_json``; raises ValueError on malformed input."""
     try:
-        d_a, d_b = int(obj["d_a"]), int(obj["d_b"])
+        d_a, d_b = obj["d_a"], obj["d_b"]
+        if not all(type(n) is int and n > 0 for n in (d_a, d_b)):
+            raise TypeError(f"d_a = {d_a!r}, d_b = {d_b!r}")
         entries = [complex(re, im) for re, im in obj["entries"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("state JSON needs integer d_a, d_b and 'entries' as a list "
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError("state JSON needs positive integer d_a, d_b and 'entries' as a list "
                          f"of [re, im] number pairs ({exc})") from exc
     dim = d_a * d_b
     if len(entries) != dim * dim:

@@ -10,7 +10,6 @@ from witnesskit.bases import (
     gell_mann_basis,
     generalized_basis,
     pauli_basis,
-    single_bloch_vector,
 )
 from witnesskit.linalg import hs_inner
 from witnesskit.states import DensityMatrix, isotropic
@@ -58,8 +57,13 @@ def test_generalized_basis_class_counts():
 
 
 def test_generalized_reduces_to_pauli():
-    for g, p in zip(generalized_basis(2).generators, pauli_basis().generators):
-        assert np.allclose(g, p)
+    sx = np.array([[0, 1], [1, 0]])
+    sy = np.array([[0, -1j], [1j, 0]])
+    sz = np.array([[1, 0], [0, -1]])
+    b = generalized_basis(2)
+    for g, p in zip(b.generators, (sx, sy, sz)):
+        assert np.array_equal(g, p)
+    assert b.labels == (SYMMETRIC, ANTISYMMETRIC, DIAGONAL)
 
 
 def test_generalized_reduces_to_gell_mann():
@@ -131,20 +135,3 @@ def test_bloch_decompose_rejects_non_hermitian():
     with pytest.raises(ValueError):
         bloch_decompose(m, b, b)
 
-
-def test_single_bloch_vector_pure_vs_mixed():
-    rng = np.random.default_rng(12)
-    for d in (2, 3, 5):
-        b = generalized_basis(d)
-        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        psi /= np.linalg.norm(psi)
-        n = single_bloch_vector(np.outer(psi, psi.conj()), b)
-        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-9)
-        mixed = 0.5 * np.outer(psi, psi.conj()) + 0.5 * np.eye(d) / d
-        assert np.linalg.norm(single_bloch_vector(mixed, b)) < 1
-
-
-def test_single_bloch_vector_qubit_ground_state():
-    # n = (0, 0, 1) corresponds to |0><0|
-    n = single_bloch_vector(np.diag([1.0, 0.0]), pauli_basis())
-    assert np.allclose(n, [0, 0, 1], atol=1e-12)

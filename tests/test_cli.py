@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from witnesskit import cli
 from witnesskit.cli import RESULT_COLUMNS, _parse_alpha_range, main
@@ -282,6 +283,9 @@ def test_bnt_solver_error_exit_code(capsys):
     assert len(err.strip().splitlines()) == 1 and err.startswith("witnesskit:")
 
 
+MIXED_2X2 = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
+
+
 @pytest.mark.parametrize("payload", [
     {"d_a": 2, "d_b": 2, "entries": 5},
     {"d_a": 2, "d_b": 2, "entries": None},
@@ -293,14 +297,86 @@ def test_bnt_solver_error_exit_code(capsys):
     [1, 2],
     {"d_a": 0, "d_b": 2, "entries": []},
     {"d_a": -1, "d_b": -1, "entries": [[1.0, 0.0]]},
+    # a string payload is written as raw text
+    pytest.param('{"d_a": 1e400, "d_b": 2, "entries": []}', id="d_a-1e400"),
+    {"d_a": float("inf"), "d_b": 2, "entries": []},
+    pytest.param('{"d_a": 1, "d_b": 1, "entries": [[1' + "0" * 400 + ', 0]]}', id="entry-1e400"),
+    {"d_a": 2.7, "d_b": 2, "entries": MIXED_2X2},
+    {"d_a": True, "d_b": 2, "entries": MIXED_2X2[:4]},
+    {"d_a": "2", "d_b": 2, "entries": MIXED_2X2},
+    {"d_a": 2, "d_b": 2, "entries": [[float("nan"), 0.0]] + MIXED_2X2[1:]},
+    {"d_a": 2, "d_b": 2, "entries": [[float("inf"), 0.0]] + MIXED_2X2[1:]},
+    {"d_a": 2, "d_b": 2, "entries": [[1e308, 0.0]] * 16},  # the trace overflows
+    {"d_a": 2, "d_b": 2, "entries": [[1e308, 0.0], [-1e308, 0.0]] + [[1e308, 0.0]] * 14},
 ])
 def test_malformed_state_json(tmp_path, capsys, payload):
     path = tmp_path / "state.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code, out, err = run_cli(capsys, "measure", "--state", str(path))
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("witnesskit:")
+
+
+NOT_A_NUMBER = st.one_of(st.none(), st.text(max_size=3), st.lists(st.integers(), max_size=3),
+                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+BAD_DIMENSION = st.one_of(NOT_A_NUMBER, st.booleans(), st.floats(), st.integers(max_value=0),
+                          st.integers(min_value=10**6))
+# any entry of modulus above 1 rules out a density matrix
+BAD_NUMBER = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400, -10**400]),
+                       st.floats(min_value=1e300, max_value=1.7e308), st.floats(min_value=-1.7e308, max_value=-1e300))
+BAD_ENTRY = st.one_of(st.floats(), st.text(max_size=3), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+                      st.lists(st.floats(-1, 1), max_size=1), st.lists(st.floats(-1, 1), min_size=3, max_size=4),
+                      st.floats(-1, 1).map(lambda x: [[x, x]]),
+                      st.tuples(NOT_A_NUMBER, st.floats(-1, 1)).map(list),
+                      st.tuples(st.floats(-1, 1), NOT_A_NUMBER).map(list))
+DEFECTS = ("number", "entry", "length", "entries", "dimension", "document")
+
+
+@st.composite
+def malformed_state_documents(draw):
+    """A maximally mixed state document with at least one defect; each
+    defect is applied after the ones it could overwrite, so the last one
+    always stands."""
+    d_a, d_b = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
+    n = d_a * d_b
+    entries = [[1 / n if i % (n + 1) == 0 else 0.0, 0.0] for i in range(n * n)]
+    doc = {"d_a": d_a, "d_b": d_b, "entries": entries}
+    defects = draw(st.sets(st.sampled_from(DEFECTS), min_size=1, max_size=2))
+    index = st.integers(0, n * n - 1)
+    if "number" in defects:
+        entries[draw(index)][draw(st.integers(0, 1))] = draw(BAD_NUMBER)
+    if "entry" in defects:
+        entries[draw(index)] = draw(BAD_ENTRY)
+    if "length" in defects:
+        k = draw(st.integers(1, n * n))
+        doc["entries"] = entries[k:] if draw(st.booleans()) else entries + [[0.0, 0.0]] * k
+    if "entries" in defects:
+        doc["entries"] = draw(st.one_of(NOT_A_NUMBER, st.floats()))
+    if "dimension" in defects:
+        key = draw(st.sampled_from(["d_a", "d_b"]))
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(BAD_DIMENSION)
+    if "document" in defects:
+        doc = draw(st.one_of(NOT_A_NUMBER, st.floats(), st.booleans(), st.lists(st.just(doc), max_size=2)))
+    return json.dumps(doc)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=malformed_state_documents())
+@example(text='{"d_a": 1e400, "d_b": 2, "entries": []}')
+@example(text='{"d_a": Infinity, "d_b": 2, "entries": []}')
+@example(text='{"d_a": 1, "d_b": 1, "entries": [[1' + "0" * 400 + ', 0]]}')
+def test_malformed_state_json_fuzz(tmp_path, capsys, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "measure", "--state", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("witnesskit:")
 
 
 @pytest.mark.parametrize("command,d", [("measure", "2"), ("bnt", "3")])

@@ -9,7 +9,8 @@ from witnesskit.linalg import (
     require_hermitian,
 )
 from witnesskit.bases import pauli_basis
-from witnesskit.states import max_entangled
+from witnesskit.states import DensityMatrix, max_entangled
+from witnesskit.witness import min_over_separable
 
 SX, SY, SZ = pauli_basis().generators
 
@@ -126,37 +127,44 @@ def test_eig_hermitian_rejects_non_hermitian():
         require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def test_non_finite_entries_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(m, 2, 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            min_over_separable(m, 2, 2)
+
+
 def test_partial_transpose_product_state():
     rng = np.random.default_rng(6)
     wa = random_hermitian(rng, 2)
     wb = random_hermitian(rng, 3)
-    pt = partial_transpose(np.kron(wa, wb), 2, 3, "B")
+    pt = partial_transpose(np.kron(wa, wb), 2, 3)
     assert np.allclose(pt, np.kron(wa, wb.T))
-    pt_a = partial_transpose(np.kron(wa, wb), 2, 3, "A")
-    assert np.allclose(pt_a, np.kron(wa.T, wb))
 
 
 def test_partial_transpose_max_entangled():
     v = max_entangled(2)
-    pt = partial_transpose(np.outer(v, v.conj()), 2, 2, "B")
+    pt = partial_transpose(np.outer(v, v.conj()), 2, 2)
     assert np.allclose(np.linalg.eigvalsh(pt), [-0.5, 0.5, 0.5, 0.5])
 
 
 def test_partial_transpose_involution():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    for sub in ("A", "B"):
-        assert np.array_equal(partial_transpose(partial_transpose(m, 2, 3, sub), 2, 3, sub), m)
+    assert np.array_equal(partial_transpose(partial_transpose(m, 2, 3), 2, 3), m)
 
 
 def test_partial_transpose_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(8)
     m = random_hermitian(rng, 6)
-    pt = partial_transpose(m, 3, 2, "B")
+    pt = partial_transpose(m, 3, 2)
     assert np.isclose(np.trace(pt), np.trace(m))
     assert np.allclose(pt, pt.conj().T)
 
 
 def test_partial_transpose_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
-        partial_transpose(np.eye(5), 2, 3, "B")
+        partial_transpose(np.eye(5), 2, 3)

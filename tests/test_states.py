@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -212,10 +214,19 @@ def test_density_json_round_trip():
     [[0.25, 0.0, 0.0]] * 16,
     [["0.25", "0"]] * 16,
     [[0.25, None]] * 16,
+    [[10**400, 0.0]] + [[0.0, 0.0]] * 15,  # overflows a float
 ])
 def test_density_from_json_rejects_malformed_entries(entries):
     with pytest.raises(ValueError):
         density_from_json({"d_a": 2, "d_b": 2, "entries": entries})
+
+
+@pytest.mark.parametrize("d_a", ["1e400", "Infinity", "2.7", "2.0", "true", '"2"', "null", "0", "-2"])
+def test_density_from_json_rejects_malformed_dimensions(d_a):
+    entries = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
+    obj = json.loads(f'{{"d_a": {d_a}, "d_b": 2, "entries": {json.dumps(entries)}}}')
+    with pytest.raises(ValueError, match="positive integer d_a, d_b"):
+        density_from_json(obj)
 
 
 def test_isotropic_params_threshold():
