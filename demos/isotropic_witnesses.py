@@ -31,8 +31,8 @@ print(f"  is optimal (tangent to the separable set): {report.is_optimal}")
 
 # The operator itself does not depend on how entangled the target is --
 # only on the direction from the guess to the target.
-c1 = witness_candidate(guess, isotropic(d, 0.5)).operator
-c2 = witness_candidate(guess, isotropic(d, 1.0)).operator
+c1 = witness_candidate(guess, isotropic(d, 0.5))
+c2 = witness_candidate(guess, isotropic(d, 1.0))
 print(f"\nwitness is alpha-independent: max|C(0.5) - C(1.0)| = "
       f"{np.max(np.abs(c1 - c2)):.2e}")
 

@@ -46,7 +46,6 @@ from .states import (
 from .witness import (
     SolverConfig,
     SolverError,
-    WitnessCandidate,
     WitnessReport,
     chsh_max_violation,
     chsh_operator,

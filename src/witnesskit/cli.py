@@ -17,6 +17,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .linalg import hs_inner
+# gbi_violation and nearest_separable are not called here; perfbench/layers.py patches them
 from .measures import (
     ProjectionConfig,
     ProjectionError,
@@ -57,7 +58,8 @@ def _fmt(x) -> str:
 
 
 def _parse_alpha_range(spec: str):
-    """'v' for a single value, 'start:end:step' for an inclusive grid."""
+    """'v' for a single value, 'start:end:step' for an inclusive grid; a grid
+    point past ``end`` by a rounding error still counts as ``end``."""
     parts = spec.split(":")
     if len(parts) == 1:
         return [float(parts[0])]
@@ -68,8 +70,10 @@ def _parse_alpha_range(spec: str):
         raise ValueError(f"bad alpha range {spec!r}; start, end and step must be finite")
     if step <= 0:
         raise ValueError("alpha range step must be > 0")
+    if start > end:
+        raise ValueError(f"bad alpha range {spec!r}; start must not exceed end")
     values = []
-    while (v := start + len(values) * step) <= end + step / 2:
+    while (v := start + len(values) * step) <= end + 1e-9 * step:
         values.append(v)
     return values
 
@@ -125,8 +129,19 @@ def _load_state(path: str) -> DensityMatrix:
         return density_from_json(json.load(fh))
 
 
+def _target(args):
+    """``(state, d, alpha)``: the --state file with d = alpha = None, or the
+    isotropic state of --d and a single --alpha value."""
+    if args.state:
+        return _load_state(args.state), None, None
+    values = _parse_alpha_range(args.alpha)
+    if len(values) != 1:
+        raise ValueError("this command takes a single --alpha value")
+    return isotropic(args.d, values[0]), args.d, values[0]
+
+
 def _result_row(d, alpha, report):
-    d_closed = None if d is None or alpha is None else isotropic_distance(d, alpha)
+    d_closed = None if alpha is None else isotropic_distance(d, alpha)
     mr = report.measure
     return (
         d, alpha, d_closed, mr.distance, report.b_value, report.discrepancy,
@@ -159,20 +174,17 @@ def cmd_gamma_signs(args) -> int:
 def cmd_witness_check(args) -> int:
     if (args.state is None) != (args.guess is None):
         raise ValueError("--state and --guess must be given together")
+    target, d, alpha = _target(args)
     if args.state:
-        target = _load_state(args.state)
         guess = _load_state(args.guess)
-        d, alpha = None, None
     else:
-        d, alpha = args.d, _single_alpha(args)
-        target = isotropic(d, alpha)
-        guess_alpha = args.guess_alpha if args.guess_alpha is not None else 1.0 / (d + 1)
-        guess = isotropic(d, guess_alpha)
+        guess = isotropic(d, args.guess_alpha if args.guess_alpha is not None
+                          else IsotropicParams(d, alpha).threshold)
     columns = ("d", "alpha", "ent_expectation", "sep_minimum", "is_witness", "is_optimal")
     try:
         report = verify_nearest_separable(guess, target, _solver_config(args))
     except SolverError as exc:  # partial row: the best value found, certifying nothing
-        ent = hs_inner(target.matrix, witness_candidate(guess, target).operator).real
+        ent = hs_inner(target.matrix, witness_candidate(guess, target)).real
         _emit([(d, alpha, ent, exc.best_value, False, False)], columns, args)
         raise
     _emit([(d, alpha, report.ent_expectation, report.sep_minimum,
@@ -180,19 +192,8 @@ def cmd_witness_check(args) -> int:
     return 0
 
 
-def _single_alpha(args) -> float:
-    values = _parse_alpha_range(args.alpha)
-    if len(values) != 1:
-        raise ValueError("this command takes a single --alpha value")
-    return values[0]
-
-
 def cmd_measure(args) -> int:
-    if args.state:
-        target, d, alpha = _load_state(args.state), None, None
-    else:
-        d, alpha = args.d, _single_alpha(args)
-        target = isotropic(d, alpha)
+    target, d, alpha = _target(args)
     cfg = _projection_config(args)
     exit_code = 0
     try:

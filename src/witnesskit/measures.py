@@ -63,11 +63,7 @@ def hs_measure_isotropic(d: int, alpha: float) -> float:
     """Closed-form distance of an entangled isotropic state to the separable
     set: sqrt(d^2-1)/d * (alpha - 1/(d+1)); the nearest separable state is
     the isotropic state at the threshold."""
-    p = IsotropicParams(d, alpha)
-    if p.alpha <= p.threshold:
-        raise ValueError(
-            f"alpha = {alpha} is in the separable regime (threshold {p.threshold:.6g})"
-        )
+    p = IsotropicParams(d, alpha).entangled()
     return np.sqrt(d**2 - 1) / d * (p.alpha - p.threshold)
 
 
@@ -205,8 +201,7 @@ def bnt_report(target: DensityMatrix, mr: MeasureResult, cfg: SolverConfig) -> B
     separable, and B = 0."""
     b = 0.0
     if mr.distance > TAU_EIG:
-        cand = witness_candidate(mr.nearest.to_density(), target)
-        b = gbi_violation(target, cand.operator, cfg)
+        b = gbi_violation(target, witness_candidate(mr.nearest.to_density(), target), cfg)
     return BntReport(mr.distance, b, abs(mr.distance - b), mr)
 
 
@@ -228,5 +223,5 @@ def infinite_d_trend(alphas, d_max: int):
     """
     if d_max < 2:
         raise ValueError(f"need d_max >= 2, got {d_max}")
-    return [(d, float(alpha), 1.0 / (d + 1), isotropic_distance(d, alpha))
+    return [(d, float(alpha), IsotropicParams(d, alpha).threshold, isotropic_distance(d, alpha))
             for d in range(2, d_max + 1) for alpha in alphas]

@@ -92,6 +92,14 @@ class IsotropicParams:
         """Separability boundary 1/(d+1)."""
         return 1.0 / (self.d + 1)
 
+    def entangled(self) -> IsotropicParams:
+        """These parameters; ValueError if alpha is not above the threshold."""
+        if self.alpha <= self.threshold:
+            raise ValueError(
+                f"alpha = {self.alpha} is in the separable regime (threshold {self.threshold:.6g})"
+            )
+        return self
+
 
 @dataclass(frozen=True)
 class ProductEnsemble:
@@ -254,5 +262,5 @@ def density_from_json(obj: dict) -> DensityMatrix:
                          f"of [re, im] number pairs ({exc})") from exc
     dim = d_a * d_b
     if len(entries) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
+        raise ValueError(f"got {len(entries)} entries, expected (d_a * d_b)^2")
     return DensityMatrix(np.array(entries).reshape(dim, dim), d_a, d_b)

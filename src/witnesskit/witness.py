@@ -13,20 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import pauli_basis
-from .linalg import (
-    TAU_EIG,
-    DimensionMismatchError,
-    hs_inner,
-    hs_norm,
-    require_hermitian,
-)
-from .states import (
-    DensityMatrix,
-    IsotropicParams,
-    ProductEnsemble,
-    gamma_operator,
-)
+from .bases import bloch_decompose, pauli_basis
+from .linalg import TAU_EIG, DimensionMismatchError, hs_inner, hs_norm, require_hermitian
+from .states import DensityMatrix, IsotropicParams, gamma_operator
 
 # Sign-decision tolerance for witness checks; looser than the linear-algebra
 # tolerances because sep_minimum comes from an iterative solver.
@@ -72,28 +61,19 @@ def check_settings(config, integers, positive_finite):
 
 
 @dataclass(frozen=True)
-class WitnessCandidate:
-    """Hyperplane operator through ``guess``, orthogonal to guess - target."""
-
-    operator: np.ndarray
-    guess: DensityMatrix
-    target: DensityMatrix
-    offset_c: float
-
-
-@dataclass(frozen=True)
 class WitnessReport:
-    candidate: WitnessCandidate
+    """Outcome of ``verify_nearest_separable``: <target, A>, the minimum of
+    <A> over product states, and whether A is a witness and an optimal one."""
+
     ent_expectation: float
     sep_minimum: float
-    minimizer: ProductEnsemble
     is_witness: bool
     is_optimal: bool
 
 
-def witness_candidate(guess: DensityMatrix, target: DensityMatrix) -> WitnessCandidate:
-    """Build the normalized tangent-plane operator
-    (guess - target - <guess, guess - target> 1) / ||guess - target||.
+def witness_candidate(guess: DensityMatrix, target: DensityMatrix) -> np.ndarray:
+    """The witness operator of a guess: the normalized tangent-plane operator
+    A = (guess - target - <guess, guess - target> 1) / ||guess - target||.
 
     Its expectation vanishes on ``guess`` and equals -||guess - target|| on
     ``target``; it is an entanglement witness exactly when ``guess`` is the
@@ -106,8 +86,7 @@ def witness_candidate(guess: DensityMatrix, target: DensityMatrix) -> WitnessCan
     if norm <= TAU_EIG:
         raise ValueError("guess equals target; witness direction is undefined")
     overlap = hs_inner(guess.matrix, diff).real
-    op = (diff - overlap * np.eye(guess.dim)) / norm
-    return WitnessCandidate(op, guess, target, offset_c=-overlap / norm)
+    return (diff - overlap * np.eye(guess.dim)) / norm
 
 
 def min_over_separable(
@@ -261,13 +240,11 @@ def verify_nearest_separable(
     candidate operator is an entanglement witness: negative on the target
     and non-negative on every product state.
     """
-    cand = witness_candidate(guess, target)
-    ent = hs_inner(target.matrix, cand.operator).real
-    sep_min, (psi, phi) = min_over_separable(cand.operator, target.d_a, target.d_b, cfg)
+    op = witness_candidate(guess, target)
+    ent = hs_inner(target.matrix, op).real
+    sep_min, _ = min_over_separable(op, target.d_a, target.d_b, cfg)
     is_witness = ent < -TAU_WIT and sep_min >= -TAU_WIT
-    is_optimal = is_witness and abs(sep_min) <= TAU_WIT
-    minimizer = ProductEnsemble(((1.0, psi, phi),))
-    return WitnessReport(cand, ent, sep_min, minimizer, is_witness, is_optimal)
+    return WitnessReport(ent, sep_min, is_witness, is_witness and abs(sep_min) <= TAU_WIT)
 
 
 def optimal_witness_isotropic(d: int, alpha: float) -> np.ndarray:
@@ -277,11 +254,7 @@ def optimal_witness_isotropic(d: int, alpha: float) -> np.ndarray:
     The operator itself is alpha-independent; alpha only gates the entangled
     regime alpha > 1/(d+1).
     """
-    p = IsotropicParams(d, alpha)
-    if p.alpha <= p.threshold:
-        raise ValueError(
-            f"alpha = {alpha} is in the separable regime (threshold {p.threshold:.6g})"
-        )
+    IsotropicParams(d, alpha).entangled()
     gamma = gamma_operator(d)
     pref = (d - 1) / (d * np.sqrt(d**2 - 1))
     return pref * (np.eye(d * d) - d / (2 * (d - 1)) * gamma)
@@ -314,7 +287,7 @@ def chsh_max_violation(rho: DensityMatrix) -> float:
     """
     if rho.d_a != 2 or rho.d_b != 2:
         raise DimensionMismatchError("CHSH scan requires a two-qubit state")
-    paulis = pauli_basis().generators
-    t = np.array([[hs_inner(np.kron(si, sj), rho.matrix).real for sj in paulis] for si in paulis])
+    p = pauli_basis()
+    t = bloch_decompose(rho, p, p).c  # c_ij = Tr(rho sigma^i x sigma^j) for qubits
     s = np.linalg.svd(t, compute_uv=False)  # s_i^2 are the eigenvalues of T^T T
     return float(2 * np.hypot(s[0], s[1]))

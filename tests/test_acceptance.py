@@ -49,7 +49,7 @@ def test_criterion_01_qubit_witness_closed_form():
     expected = (np.eye(4) - sigma_operator()) / (2 * np.sqrt(3))
     ok = all(
         np.max(np.abs(
-            witness_candidate(isotropic(2, 1 / 3), isotropic(2, alpha)).operator
+            witness_candidate(isotropic(2, 1 / 3), isotropic(2, alpha))
             - expected
         )) <= 1e-12
         for alpha in (0.4, 0.7, 1.0)
@@ -61,7 +61,7 @@ def test_criterion_02_qutrit_witness_closed_form():
     expected = (np.eye(9) - 0.75 * lambda_operator()) / (3 * np.sqrt(2))
     ok = all(
         np.max(np.abs(
-            witness_candidate(isotropic(3, 1 / 4), isotropic(3, alpha)).operator
+            witness_candidate(isotropic(3, 1 / 4), isotropic(3, alpha))
             - expected
         )) <= 1e-12
         for alpha in (0.4, 0.7, 1.0)

@@ -29,6 +29,12 @@ def test_parse_alpha_range_inclusive():
     assert len(values) == 5
     assert values[0] == pytest.approx(0.1)
     assert values[-1] == pytest.approx(0.5)
+    # a point past the end by more than rounding is left out
+    assert _parse_alpha_range("0:0.5:0.3") == [0.0, 0.3]
+    assert _parse_alpha_range("0.5:1.0:0.3") == [0.5, 0.8]
+    assert _parse_alpha_range("0.4:1.0:0.1")[-1] == 1.0
+    # one past the end by rounding still counts as the end
+    assert _parse_alpha_range("0.1:0.7:0.2")[-1] == 0.7000000000000001
 
 
 def test_parse_alpha_range_bad_spec():
@@ -36,6 +42,8 @@ def test_parse_alpha_range_bad_spec():
         _parse_alpha_range("0.1:0.5")
     with pytest.raises(ValueError):
         _parse_alpha_range("0.1:0.5:-0.1")
+    with pytest.raises(ValueError):
+        _parse_alpha_range("1:0:0.1")
 
 
 def test_iso_sweep_rows(capsys):
@@ -308,6 +316,7 @@ MIXED_2X2 = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
     {"d_a": 2, "d_b": 2, "entries": [[float("inf"), 0.0]] + MIXED_2X2[1:]},
     {"d_a": 2, "d_b": 2, "entries": [[1e308, 0.0]] * 16},  # the trace overflows
     {"d_a": 2, "d_b": 2, "entries": [[1e308, 0.0], [-1e308, 0.0]] + [[1e308, 0.0]] * 14},
+    pytest.param('{"d_a": 1' + "0" * 2200 + ', "d_b": 2, "entries": [[1, 0]]}', id="d_a-2201-digits"),
 ])
 def test_malformed_state_json(tmp_path, capsys, payload):
     path = tmp_path / "state.json"
@@ -316,6 +325,14 @@ def test_malformed_state_json(tmp_path, capsys, payload):
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("witnesskit:")
+
+
+def test_state_entry_count_message_with_huge_dimension(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text('{"d_a": 1' + "0" * 2200 + ', "d_b": 2, "entries": [[1, 0]]}')
+    code, _, err = run_cli(capsys, "measure", "--state", str(path))
+    assert code == 1
+    assert err == "witnesskit: got 1 entries, expected (d_a * d_b)^2\n"
 
 
 NOT_A_NUMBER = st.one_of(st.none(), st.text(max_size=3), st.lists(st.integers(), max_size=3),

@@ -4,6 +4,7 @@ import pytest
 from witnesskit import witness
 from witnesskit.bases import gell_mann_basis, pauli_basis
 from witnesskit.linalg import DimensionMismatchError, hs_inner, hs_norm
+from witnesskit.measures import nearest_separable
 from witnesskit.states import DensityMatrix, gamma_operator, isotropic
 from witnesskit.witness import (
     SolverConfig,
@@ -37,14 +38,14 @@ def test_norm_constants():
 def test_witness_candidate_qubit_closed_form(alpha):
     cand = witness_candidate(isotropic(2, 1 / 3), isotropic(2, alpha))
     expected = (np.eye(4) - sigma_operator()) / (2 * np.sqrt(3))
-    assert np.max(np.abs(cand.operator - expected)) <= 1e-12
+    assert np.max(np.abs(cand - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.7, 1.0])
 def test_witness_candidate_qutrit_closed_form(alpha):
     cand = witness_candidate(isotropic(3, 1 / 4), isotropic(3, alpha))
     expected = (np.eye(9) - 0.75 * lambda_operator()) / (3 * np.sqrt(2))
-    assert np.max(np.abs(cand.operator - expected)) <= 1e-12
+    assert np.max(np.abs(cand - expected)) <= 1e-12
 
 
 def test_witness_candidate_intermediate_scalars():
@@ -59,8 +60,8 @@ def test_witness_candidate_invariants():
     guess, target = isotropic(3, 0.1), isotropic(3, 0.9)
     cand = witness_candidate(guess, target)
     diff = guess.matrix - target.matrix
-    assert hs_inner(diff, cand.operator).real == pytest.approx(hs_norm(diff))
-    assert hs_inner(guess.matrix, cand.operator).real == pytest.approx(0, abs=1e-12)
+    assert hs_inner(diff, cand).real == pytest.approx(hs_norm(diff))
+    assert hs_inner(guess.matrix, cand).real == pytest.approx(0, abs=1e-12)
 
 
 def test_witness_candidate_degenerate_input():
@@ -203,6 +204,29 @@ def test_verify_nearest_separable_rejects_interior_guess():
     report = verify_nearest_separable(guess, isotropic(2, 0.8))
     assert not report.is_witness
     assert report.sep_minimum < -1e-3
+
+
+def noisy_pure_states():
+    """0.9 |v><v| + 0.1 1/n for seeded random v, in 2 x 2 and then 2 x 3."""
+    rng = np.random.default_rng(7)
+    for d_a, d_b in ((2, 2), (2, 3)):
+        n = d_a * d_b
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        yield DensityMatrix(0.9 * np.outer(v, v.conj()) + 0.1 * np.eye(n) / n, d_a, d_b)
+
+
+@pytest.mark.parametrize("target", list(noisy_pure_states()), ids=["2x2", "2x3"])
+def test_verify_nearest_separable_non_isotropic(target):
+    mr = nearest_separable(target)
+    nearest = mr.nearest.to_density()
+    report = verify_nearest_separable(nearest, target)
+    assert report.is_optimal
+    assert report.ent_expectation == pytest.approx(-mr.distance, abs=1e-12)
+    # mixing in white noise moves the guess into the interior
+    n = target.dim
+    noisier = DensityMatrix(0.8 * nearest.matrix + 0.2 * np.eye(n) / n, target.d_a, target.d_b)
+    assert not verify_nearest_separable(noisier, target).is_witness
 
 
 def test_optimal_witness_closed_forms():
