@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,6 +39,8 @@ from .witness import (SolverConfig, SolverError, chsh_max_violation,
 
 #: column order of projection/violation result rows
 RESULT_COLUMNS = ("d", "alpha", "D_closed", "D_numeric", "B", "discrepancy", "gap", "iters", "converged")
+#: most points an alpha grid may have
+MAX_ALPHA_POINTS = 10**5
 
 
 def _py(x):
@@ -58,8 +59,9 @@ def _fmt(x) -> str:
 
 
 def _parse_alpha_range(spec: str):
-    """'v' for a single value, 'start:end:step' for an inclusive grid; a grid
-    point past ``end`` by a rounding error still counts as ``end``."""
+    """'v' for a single value, 'start:end:step' for an inclusive grid of at
+    most MAX_ALPHA_POINTS points; a grid point past ``end`` by a rounding
+    error still counts as ``end``."""
     parts = spec.split(":")
     if len(parts) == 1:
         return [float(parts[0])]
@@ -72,6 +74,9 @@ def _parse_alpha_range(spec: str):
         raise ValueError("alpha range step must be > 0")
     if start > end:
         raise ValueError(f"bad alpha range {spec!r}; start must not exceed end")
+    # the grid below has floor((end - start) / step + 1e-9) + 1 points
+    if (end - start) / step + 1e-9 >= MAX_ALPHA_POINTS:
+        raise ValueError(f"bad alpha range {spec!r}; more than {MAX_ALPHA_POINTS} points")
     values = []
     while (v := start + len(values) * step) <= end + 1e-9 * step:
         values.append(v)
@@ -98,24 +103,9 @@ def _write(text: str, args):
 
 
 def _solver_config(args, base: SolverConfig = SolverConfig()) -> SolverConfig:
-    """Flags win over the --solver-config file, which wins over ``base``
-    (whose seed gives way to the WITNESSKIT_SEED environment variable)."""
-    settings = {}
-    if args.solver_config:
-        with open(args.solver_config) as fh:
-            settings = json.load(fh)
-        names = [f.name for f in fields(SolverConfig)]
-        if not isinstance(settings, dict) or not settings.keys() <= set(names):
-            raise ValueError(f"--solver-config must be a JSON object with keys among {', '.join(names)}")
+    """``base`` with the solver flags that were given."""
     flags = {"n_starts": args.n_starts, "max_iters": args.max_iters, "seed": args.seed}
-    settings.update((k, v) for k, v in flags.items() if v is not None)
-    if "seed" not in settings:
-        env = os.environ.get("WITNESSKIT_SEED") or "0"
-        try:
-            settings["seed"] = int(env)
-        except ValueError:
-            raise ValueError(f"WITNESSKIT_SEED must be an integer, got {env!r}") from None
-    return replace(base, **settings)
+    return replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _projection_config(args) -> ProjectionConfig:
@@ -133,6 +123,8 @@ def _target(args):
     """``(state, d, alpha)``: the --state file with d = alpha = None, or the
     isotropic state of --d and a single --alpha value."""
     if args.state:
+        if args.alpha is not None:
+            raise ValueError("--alpha does not apply with --state")
         return _load_state(args.state), None, None
     values = _parse_alpha_range(args.alpha)
     if len(values) != 1:
@@ -174,6 +166,8 @@ def cmd_gamma_signs(args) -> int:
 def cmd_witness_check(args) -> int:
     if (args.state is None) != (args.guess is None):
         raise ValueError("--state and --guess must be given together")
+    if args.state and args.guess_alpha is not None:
+        raise ValueError("--guess-alpha does not apply with --state")
     target, d, alpha = _target(args)
     if args.state:
         guess = _load_state(args.guess)
@@ -239,10 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iters", type=int, default=None)
         if projection:
             p.add_argument("--tol-gap", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: WITNESSKIT_SEED env var or 0)")
-        p.add_argument("--solver-config", default=None,
-                       help="JSON file {n_starts, max_iters, tol_conv, seed}")
+        p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
 
     p = sub.add_parser("iso-sweep", help="closed-form distance sweep over alpha")
     common(p)

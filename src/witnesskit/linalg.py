@@ -30,13 +30,13 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def require_hermitian(a, tol: float = TAU_HERM) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     m = as_matrix(a)
     if not np.isfinite(m).all():
         raise ValueError(f"matrix has {np.count_nonzero(~np.isfinite(m))} non-finite (NaN or inf) entries")
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.1e})")
+    if dev > TAU_HERM:
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {TAU_HERM:.1e})")
     return m
 
 

@@ -16,20 +16,22 @@ from .linalg import TAU_EIG, hs_inner, hs_norm
 from .states import DensityMatrix, IsotropicParams, ProductEnsemble
 from .witness import SolverConfig, check_settings, min_over_separable, witness_candidate
 
+#: Frank-Wolfe iterations before the projection gives up with ProjectionError
+MAX_OUTER_ITERS = 5000
+
 
 @dataclass(frozen=True)
 class ProjectionConfig:
     """Settings for the Frank-Wolfe projection onto the separable set: a
-    positive finite gap tolerance, an iteration limit >= 1 and the
-    product-state minimizer of its linear subproblem, which may be lighter
-    than the standalone default because each call is warm-started."""
+    positive finite gap tolerance and the product-state minimizer of its
+    linear subproblem, which may be lighter than the standalone default
+    because each call is warm-started."""
 
     tol_gap: float = 1e-9
-    max_outer_iters: int = 5000
     solver: SolverConfig = field(default_factory=lambda: SolverConfig(n_starts=8))
 
     def __post_init__(self):
-        check_settings(self, (("max_outer_iters", 1),), ("tol_gap",))
+        check_settings(self, (), ("tol_gap",))
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ def nearest_separable(
     atom.  Atoms whose weight reaches 0 are dropped with their row.
     """
     d_a, d_b = target.d_a, target.d_b
-    if d_b == 1:
+    if 1 in (d_a, d_b):
         raise ValueError("projection needs a bipartite state")
 
     # initial atom: product state most aligned with the target
@@ -139,7 +141,7 @@ def nearest_separable(
     psis, phis, w = psi[None], phi[None], np.ones(1)
     gram, lin = np.ones((1, 1)), np.array([-value])
     last_phi = phi
-    for it in range(1, cfg.max_outer_iters + 1):
+    for it in range(1, MAX_OUTER_ITERS + 1):
         x = (psis[:, :, None] * phis[:, None, :]).reshape(len(w), -1)
         rho = (x.T * w) @ x.conj()
         grad = 2 * (rho - target.matrix)
@@ -175,7 +177,7 @@ def nearest_separable(
     if not result.converged:
         raise ProjectionError(
             f"projection gap {gap:.3e} above tolerance {cfg.tol_gap:.1e} after "
-            f"{cfg.max_outer_iters} iterations",
+            f"{MAX_OUTER_ITERS} iterations",
             result,
         )
     return result

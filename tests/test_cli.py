@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from witnesskit import cli
 from witnesskit.cli import RESULT_COLUMNS, _parse_alpha_range, main
 from witnesskit.measures import BntReport, MeasureResult, ProjectionConfig, ProjectionError
 from witnesskit.states import ProductEnsemble, density_to_json, isotropic
+from witnesskit.witness import SolverConfig, WitnessReport
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +46,16 @@ def test_parse_alpha_range_bad_spec():
         _parse_alpha_range("0.1:0.5:-0.1")
     with pytest.raises(ValueError):
         _parse_alpha_range("1:0:0.1")
+    with pytest.raises(ValueError):
+        _parse_alpha_range("0:1:1e-9")
+
+
+@pytest.mark.parametrize("command", ["iso-sweep", "chsh-scan"])
+def test_alpha_range_too_many_points(capsys, command):
+    code, out, err = run_cli(capsys, command, "--d", "2", "--alpha", "0:1:1e-9")
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "100000 points" in err
 
 
 def test_iso_sweep_rows(capsys):
@@ -108,6 +120,21 @@ def test_witness_check_needs_state_and_guess(tmp_path, capsys, pair):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "--state" in err and "--guess" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("measure", "--alpha", "0.5"),
+    ("witness-check", "--alpha", "0.5", "--guess", "{path}"),
+    ("witness-check", "--guess-alpha", "0.3", "--guess", "{path}"),
+])
+def test_state_rejects_isotropic_flags(tmp_path, capsys, argv):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(density_to_json(isotropic(2, 0.8))))
+    argv = [a.format(path=path) for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--state", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and argv[1] in err and "--state" in err
 
 
 def test_witness_check_state_files(tmp_path, capsys):
@@ -221,36 +248,9 @@ def test_output_file(tmp_path, capsys):
     assert path.read_text() == "+ - + + - + - +\n"
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("WITNESSKIT_SEED", "7")
-    _, env_out, _ = run_cli(capsys, "bnt", "--d", "2", "--alpha", "0.8")
-    _, flag_out, _ = run_cli(capsys, "bnt", "--d", "2", "--alpha", "0.8", "--seed", "7")
-    assert env_out == flag_out
-    # explicit flag wins over the environment
-    monkeypatch.setenv("WITNESSKIT_SEED", "99")
-    _, override, _ = run_cli(capsys, "bnt", "--d", "2", "--alpha", "0.8", "--seed", "7")
-    assert override == flag_out
-
-
-def test_seed_env_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("WITNESSKIT_SEED", "abc")
-    code, out, err = run_cli(capsys, "bnt", "--alpha", "0.8")
-    assert code == 1
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and "WITNESSKIT_SEED" in err
-
-
-def test_solver_config_file(tmp_path, capsys):
-    path = tmp_path / "solver.json"
-    path.write_text(json.dumps({"n_starts": 8, "seed": 0}))
-    code, out, _ = run_cli(
-        capsys, "witness-check", "--d", "2", "--alpha", "0.9",
-        "--solver-config", str(path),
-    )
-    assert code == 0
-    header, row = out.strip().splitlines()
-    values = dict(zip(header.split(","), row.split(",")))
-    assert values["is_witness"] == "true"
+def _setting(flag):
+    """The settings name of a solver flag; no flag stands for --n-starts."""
+    return (flag or ("--n-starts",))[0][2:].replace("-", "_")
 
 
 @pytest.mark.parametrize("command", ["bnt", "measure"])
@@ -258,12 +258,15 @@ def test_solver_config_file(tmp_path, capsys):
     ((), ProjectionConfig().solver.n_starts),
     (("--n-starts", "1"), 1),
     (("--n-starts", "64"), 64),
+    (("--max-iters", "7"), 7),
+    (("--seed", "5"), 5),
+    (("--tol-gap", "1e-6"), 1e-6),
 ])
 def test_projection_honours_n_starts(monkeypatch, capsys, command, flag, expected):
     seen = []
 
     def fake_bnt_check(target, cfg):
-        seen.append(cfg.solver.n_starts)
+        seen.append(cfg)
         e = np.array([1.0, 0.0])
         mr = MeasureResult(0.5, ProductEnsemble(((1.0, e, e),)), 0.0, 1)
         return BntReport(0.5, 0.5, 0.0, mr)
@@ -271,7 +274,30 @@ def test_projection_honours_n_starts(monkeypatch, capsys, command, flag, expecte
     monkeypatch.setattr(cli, "bnt_check", fake_bnt_check)
     code, _, _ = run_cli(capsys, command, "--d", "2", "--alpha", "0.8", *flag)
     assert code == 0
-    assert seen == [expected]
+    default = ProjectionConfig()
+    if _setting(flag) == "tol_gap":
+        assert seen == [replace(default, tol_gap=expected)]
+    else:
+        assert seen == [replace(default, solver=replace(default.solver, **{_setting(flag): expected}))]
+
+
+@pytest.mark.parametrize("flag,expected", [
+    ((), SolverConfig().n_starts),
+    (("--n-starts", "1"), 1),
+    (("--max-iters", "7"), 7),
+    (("--seed", "5"), 5),
+])
+def test_witness_check_honours_solver_flags(monkeypatch, capsys, flag, expected):
+    seen = []
+
+    def fake_verify(guess, target, cfg):
+        seen.append(cfg)
+        return WitnessReport(-0.5, 0.0, True, True)
+
+    monkeypatch.setattr(cli, "verify_nearest_separable", fake_verify)
+    code, _, _ = run_cli(capsys, "witness-check", "--d", "2", "--alpha", "0.8", *flag)
+    assert code == 0
+    assert seen == [replace(SolverConfig(), **{_setting(flag): expected})]
 
 
 def test_witness_check_solver_error_row(capsys):
@@ -425,21 +451,14 @@ def test_projection_error_partial_row(monkeypatch, capsys):
     assert b > 0 and float(values["discrepancy"]) == pytest.approx(abs(0.6 - b), abs=1e-11)
 
 
-@pytest.mark.parametrize("settings,flags", [
-    ([1, 2], ()),
-    ({"n_starts": "abc"}, ()),
-    ({"tol_conv": None}, ()),
-    ({"n_start": 1}, ()),
-    (None, ("--n-starts", "0")),
-    (None, ("--n-starts", "-1")),
-    (None, ("--tol-gap", "0")),
-    (None, ("--tol-gap", "inf")),
+# fixed ids, so that results stay comparable with earlier runs of the suite
+@pytest.mark.parametrize("flags", [
+    pytest.param(("--n-starts", "0"), id="None-flags4"),
+    pytest.param(("--n-starts", "-1"), id="None-flags5"),
+    pytest.param(("--tol-gap", "0"), id="None-flags6"),
+    pytest.param(("--tol-gap", "inf"), id="None-flags7"),
 ])
-def test_bad_solver_settings(tmp_path, capsys, settings, flags):
-    if settings is not None:
-        path = tmp_path / "solver.json"
-        path.write_text(json.dumps(settings))
-        flags = ("--solver-config", str(path))
+def test_bad_solver_settings(capsys, flags):
     code, out, err = run_cli(capsys, "bnt", "--d", "2", "--alpha", "0.8", *flags)
     assert code == 1
     assert out == ""
@@ -452,6 +471,7 @@ def test_bad_solver_settings(tmp_path, capsys, settings, flags):
     ("chsh-scan", "--alpha", "0.5", "--max-iters", "1"),
     ("witness-check", "--alpha", "0.5", "--tol-gap", "1e-6"),
     ("bnt", "--d", "x", "--alpha", "0.5"),
+    ("bnt", "--alpha", "0.5", "--solver-config", "x.json"),
 ])
 def test_usage_error_exit_code(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
