@@ -54,8 +54,6 @@ class BlochVector:
     rho = (1 / (d_a d_b)) (1 + a_i g^i x 1 + b_i 1 x g^i + c_ij g^i x g^j).
     """
 
-    d_a: int
-    d_b: int
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
@@ -111,18 +109,15 @@ def generalized_basis(d: int) -> BasisSet:
     return basis
 
 
-def bloch_decompose(rho, basis_a: BasisSet, basis_b: BasisSet) -> BlochVector:
-    """Expand a bipartite operator in the product generator basis.
+def bloch_decompose(rho: np.ndarray, basis_a: BasisSet, basis_b: BasisSet) -> BlochVector:
+    """Expand a bipartite operator, given as a matrix, in the product
+    generator basis.
 
     Normalization: a_i = (d_a/2) Tr(rho g^i x 1), b_i = (d_b/2) Tr(rho 1 x g^i),
     c_ij = (d_a d_b / 4) Tr(rho g^i x g^j), the exact inverse of
     :func:`bloch_compose`.  Coefficients with a non-negligible imaginary part
     signal a non-Hermitian input and raise.
     """
-    from .states import DensityMatrix  # local import to avoid a cycle
-
-    if isinstance(rho, DensityMatrix):
-        rho = rho.matrix
     rho = np.asarray(rho, dtype=complex)
     da, db = basis_a.d, basis_b.d
     if rho.shape != (da * db, da * db):
@@ -140,7 +135,7 @@ def bloch_decompose(rho, basis_a: BasisSet, basis_b: BasisSet) -> BlochVector:
             raise ValueError(
                 f"non-real Bloch coefficients in {name}: input is not Hermitian"
             )
-    return BlochVector(da, db, a.real, b.real, c.real)
+    return BlochVector(a.real, b.real, c.real)
 
 
 def bloch_compose(v: BlochVector, basis_a: BasisSet, basis_b: BasisSet) -> np.ndarray:

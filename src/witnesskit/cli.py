@@ -32,7 +32,6 @@ from .states import (
     density_from_json,
     gamma_signs,
     isotropic,
-    isotropic_separability,
 )
 from .witness import (SolverConfig, SolverError, chsh_max_violation,
                       verify_nearest_separable, witness_candidate)
@@ -41,6 +40,8 @@ from .witness import (SolverConfig, SolverError, chsh_max_violation,
 RESULT_COLUMNS = ("d", "alpha", "D_closed", "D_numeric", "B", "discrepancy", "gap", "iters", "converged")
 #: most points an alpha grid may have
 MAX_ALPHA_POINTS = 10**5
+#: subsystem dimension of the isotropic states when --d is not given
+DEFAULT_D = 2
 
 
 def _py(x):
@@ -121,15 +122,17 @@ def _load_state(path: str) -> DensityMatrix:
 
 def _target(args):
     """``(state, d, alpha)``: the --state file with d = alpha = None, or the
-    isotropic state of --d and a single --alpha value."""
+    isotropic state of --d (default DEFAULT_D) and a single --alpha value."""
     if args.state:
-        if args.alpha is not None:
-            raise ValueError("--alpha does not apply with --state")
+        for flag, value in (("--alpha", args.alpha), ("--d", args.d)):
+            if value is not None:
+                raise ValueError(f"{flag} does not apply with --state")
         return _load_state(args.state), None, None
     values = _parse_alpha_range(args.alpha)
     if len(values) != 1:
         raise ValueError("this command takes a single --alpha value")
-    return isotropic(args.d, values[0]), args.d, values[0]
+    d = DEFAULT_D if args.d is None else args.d
+    return isotropic(d, values[0]), d, values[0]
 
 
 def _result_row(d, alpha, report):
@@ -146,8 +149,7 @@ def cmd_iso_sweep(args) -> int:
     rows = []
     for alpha in _parse_alpha_range(args.alpha):
         p = IsotropicParams(args.d, alpha)
-        sep = isotropic_separability(args.d, alpha) == "separable"
-        rows.append((args.d, alpha, p.threshold, sep, isotropic_distance(args.d, alpha)))
+        rows.append((args.d, alpha, p.threshold, p.separable, isotropic_distance(args.d, alpha)))
     _emit(rows, columns, args)
     return 0
 
@@ -220,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_alpha=True):
-        p.add_argument("--d", type=int, default=2, help="subsystem dimension")
+        p.add_argument("--d", type=int, default=DEFAULT_D, help="subsystem dimension")
         if needs_alpha:
             p.add_argument("--alpha", required=False,
                            help="mixing parameter, single value or start:end:step")
@@ -239,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_iso_sweep)
 
+    # the --state subcommands leave --d unset (d=None), so that _target can reject it
     p = sub.add_parser("witness-check", help="check a nearest-separable-state guess")
     common(p)
     solver(p)
@@ -246,13 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="alpha of the isotropic guess state (default: threshold)")
     p.add_argument("--state", default=None, help="target state JSON file")
     p.add_argument("--guess", default=None, help="guess state JSON file")
-    p.set_defaults(func=cmd_witness_check)
+    p.set_defaults(func=cmd_witness_check, d=None)
 
     p = sub.add_parser("measure", help="numeric projection onto the separable set")
     common(p)
     solver(p, projection=True)
     p.add_argument("--state", default=None, help="target state JSON file")
-    p.set_defaults(func=cmd_measure)
+    p.set_defaults(func=cmd_measure, d=None)
 
     p = sub.add_parser("bnt", help="compare numeric distance with maximal GBI violation")
     common(p)

@@ -71,8 +71,7 @@ def hs_measure_isotropic(d: int, alpha: float) -> float:
 
 def isotropic_distance(d: int, alpha: float) -> float:
     """Distance of any isotropic state to the separable set (0 if separable)."""
-    p = IsotropicParams(d, alpha)
-    return hs_measure_isotropic(d, alpha) if p.alpha > p.threshold else 0.0
+    return 0.0 if IsotropicParams(d, alpha).separable else hs_measure_isotropic(d, alpha)
 
 
 def _corrective_weights(gram: np.ndarray, lin: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -19,34 +19,19 @@ from .linalg import (
     require_hermitian,
 )
 
-SEPARABLE = "separable"
-ENTANGLED = "entangled"
-
-
 class GammaFormError(Exception):
     """The maximally-entangled expansion is not of the claimed
     sum_i c_i g^i x g^i form with c_i = +-1."""
 
-    def __init__(self, d, i, j, coefficient):
-        self.d = d
-        self.i = i
-        self.j = j
-        self.coefficient = coefficient
-        if i == j:
-            msg = f"d={d}: diagonal coefficient c_{i} = {coefficient:.6g} is not +-1"
-        else:
-            msg = f"d={d}: cross term ({i},{j}) has coefficient {coefficient:.6g} != 0"
-        super().__init__(msg)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated quantum state with known bipartite split (d_b = 1 for
-    single-party states)."""
+    """A validated quantum state on C^d_a (x) C^d_b: Hermitian, unit trace
+    and positive semidefinite."""
 
     matrix: np.ndarray
     d_a: int
-    d_b: int = 1
+    d_b: int
 
     def __post_init__(self):
         if self.d_a < 1 or self.d_b < 1:
@@ -92,9 +77,14 @@ class IsotropicParams:
         """Separability boundary 1/(d+1)."""
         return 1.0 / (self.d + 1)
 
+    @property
+    def separable(self) -> bool:
+        """Whether the state is separable: alpha <= 1/(d+1)."""
+        return self.alpha <= self.threshold
+
     def entangled(self) -> IsotropicParams:
-        """These parameters; ValueError if alpha is not above the threshold."""
-        if self.alpha <= self.threshold:
+        """These parameters; ValueError if the state is separable."""
+        if self.separable:
             raise ValueError(
                 f"alpha = {self.alpha} is in the separable regime (threshold {self.threshold:.6g})"
             )
@@ -165,9 +155,8 @@ def isotropic(d: int, alpha: float) -> DensityMatrix:
 
 
 def isotropic_separability(d: int, alpha: float) -> str:
-    """Classify an isotropic state: separable iff alpha <= 1/(d+1)."""
-    p = IsotropicParams(d, alpha)
-    return SEPARABLE if p.alpha <= p.threshold else ENTANGLED
+    """Classify an isotropic state as "separable" or "entangled"."""
+    return "separable" if IsotropicParams(d, alpha).separable else "entangled"
 
 
 def gamma_signs(d: int, basis: BasisSet | None = None) -> np.ndarray:
@@ -187,26 +176,27 @@ def gamma_signs(d: int, basis: BasisSet | None = None) -> np.ndarray:
     bad = np.argwhere(np.abs(np.abs(t) - np.eye(d**2 - 1)) > TAU_EIG)
     if len(bad):
         i, j = bad[0]
-        raise GammaFormError(d, i, j, t[i, j])
+        if i == j:
+            raise GammaFormError(f"d={d}: diagonal coefficient c_{i} = {t[i, j]:.6g} is not +-1")
+        raise GammaFormError(f"d={d}: cross term ({i},{j}) has coefficient {t[i, j]:.6g} != 0")
     return np.sign(np.diag(t)).astype(int)
 
 
-def gamma_operator(d: int, basis: BasisSet | None = None) -> np.ndarray:
-    """The correlation operator Gamma = sum_i c_i g^i x g^i."""
-    if basis is None:
-        basis = generalized_basis(d)
+def gamma_operator(d: int) -> np.ndarray:
+    """The correlation operator Gamma = sum_i c_i g^i x g^i over the
+    generalized Gell-Mann generators g^i, with the signs of :func:`gamma_signs`."""
+    basis = generalized_basis(d)
     signs = gamma_signs(d, basis)
     g = basis.stack()
     return np.einsum("i,iab,icd->acbd", signs.astype(complex), g, g).reshape(d * d, d * d)
 
 
-def isotropic_gamma_form(d: int, alpha: float, basis: BasisSet | None = None) -> DensityMatrix:
+def isotropic_gamma_form(d: int, alpha: float) -> DensityMatrix:
     """Isotropic state built from its generator expansion
-    (1/d^2)(1 + (d/2) alpha Gamma); equals :func:`isotropic` wherever the
-    sign computation succeeds."""
+    (1/d^2)(1 + (d/2) alpha Gamma), Gamma being :func:`gamma_operator`;
+    equals :func:`isotropic`."""
     p = IsotropicParams(d, alpha)
-    gamma = gamma_operator(d, basis)
-    m = (np.eye(d * d) + (d / 2) * p.alpha * gamma) / d**2
+    m = (np.eye(d * d) + (d / 2) * p.alpha * gamma_operator(d)) / d**2
     return DensityMatrix(m, d, d)
 
 

@@ -117,11 +117,26 @@ def min_over_separable(
     the returned unit vectors.  ``extra_starts`` may supply additional
     initial phi vectors (e.g. warm starts).  With ``every_start`` it returns
     the endpoints of all starts instead, sorted by value, as
-    ``(values, (psis, phis))``; row 0 is the minimizer above.
+    ``(values, (psis, phis))``; row 0 is the minimizer above.  Entries so
+    large that the arithmetic overflows raise ``ValueError``.
     """
     m = require_hermitian(a)
     if m.shape[0] != d_a * d_b:
         raise DimensionMismatchError(f"operator dim {m.shape[0]} != {d_a * d_b}")
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            value, psi, phi = _multistart(m, d_a, d_b, cfg, extra_starts)
+    except FloatingPointError as exc:
+        raise ValueError(f"operator too large for the product-state solver ({exc})") from exc
+    if every_start:
+        order = np.argsort(value, kind="stable")
+        return value[order], (psi[order], phi[order])
+    k = int(np.argmin(value))
+    return float(value[k]), (psi[k], phi[k])
+
+
+def _multistart(m, d_a, d_b, cfg, extra_starts):
+    """Endpoints ``(values, psis, phis)`` of all starts of ``min_over_separable``."""
     a4 = m.reshape(d_a, d_b, d_a, d_b)
     z = np.random.default_rng(cfg.seed).standard_normal((cfg.n_starts, 2, d_b))
     phi = np.concatenate([np.reshape(np.asarray(extra_starts, dtype=complex), (-1, d_b)),
@@ -156,11 +171,7 @@ def min_over_separable(
             best_value=float(value.min()),
             iterations=cfg.max_iters,
         )
-    if every_start:
-        order = np.argsort(value, kind="stable")
-        return value[order], (psi[order], phi[order])
-    k = int(np.argmin(value))
-    return float(value[k]), (psi[k], phi[k])
+    return value, psi, phi
 
 
 def _lowest(ops):
@@ -288,6 +299,6 @@ def chsh_max_violation(rho: DensityMatrix) -> float:
     if rho.d_a != 2 or rho.d_b != 2:
         raise DimensionMismatchError("CHSH scan requires a two-qubit state")
     p = pauli_basis()
-    t = bloch_decompose(rho, p, p).c  # c_ij = Tr(rho sigma^i x sigma^j) for qubits
+    t = bloch_decompose(rho.matrix, p, p).c  # c_ij = Tr(rho sigma^i x sigma^j) for qubits
     s = np.linalg.svd(t, compute_uv=False)  # s_i^2 are the eigenvalues of T^T T
     return float(2 * np.hypot(s[0], s[1]))

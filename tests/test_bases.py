@@ -90,7 +90,7 @@ def test_bloch_decompose_maximally_mixed():
 def test_bloch_decompose_isotropic_qubit():
     b = pauli_basis()
     alpha = 0.7
-    v = bloch_decompose(isotropic(2, alpha), b, b)
+    v = bloch_decompose(isotropic(2, alpha).matrix, b, b)
     assert np.allclose(v.a, 0, atol=1e-12)
     assert np.allclose(v.b, 0, atol=1e-12)
     assert np.allclose(v.c, alpha * np.diag([1, -1, 1]), atol=1e-12)
@@ -99,7 +99,7 @@ def test_bloch_decompose_isotropic_qubit():
 def test_bloch_decompose_isotropic_qutrit():
     b = gell_mann_basis()
     alpha = 0.5
-    v = bloch_decompose(isotropic(3, alpha), b, b)
+    v = bloch_decompose(isotropic(3, alpha).matrix, b, b)
     signs = np.array([1, -1, 1, 1, -1, 1, -1, 1])
     assert np.allclose(v.c, (3 * alpha / 2) * np.diag(signs), atol=1e-12)
 
@@ -108,7 +108,7 @@ def test_bloch_compose_zero_vector():
     b = gell_mann_basis()
     from witnesskit.bases import BlochVector
 
-    v = BlochVector(3, 3, np.zeros(8), np.zeros(8), np.zeros((8, 8)))
+    v = BlochVector(np.zeros(8), np.zeros(8), np.zeros((8, 8)))
     assert np.allclose(bloch_compose(v, b, b), np.eye(9) / 9)
 
 

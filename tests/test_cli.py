@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from witnesskit import cli
+from witnesskit import cli, measures
 from witnesskit.cli import RESULT_COLUMNS, _parse_alpha_range, main
 from witnesskit.measures import BntReport, MeasureResult, ProjectionConfig, ProjectionError
 from witnesskit.states import ProductEnsemble, density_to_json, isotropic
@@ -126,6 +126,9 @@ def test_witness_check_needs_state_and_guess(tmp_path, capsys, pair):
     ("measure", "--alpha", "0.5"),
     ("witness-check", "--alpha", "0.5", "--guess", "{path}"),
     ("witness-check", "--guess-alpha", "0.3", "--guess", "{path}"),
+    ("measure", "--d", "3"),
+    ("measure", "--d", "2"),
+    ("witness-check", "--d", "7", "--guess", "{path}"),
 ])
 def test_state_rejects_isotropic_flags(tmp_path, capsys, argv):
     path = tmp_path / "state.json"
@@ -213,6 +216,13 @@ def test_non_finite_alpha_range(capsys, spec):
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "finite" in err
+
+
+def test_single_alpha_commands_reject_a_grid(capsys):
+    code, out, err = run_cli(capsys, "bnt", "--alpha", "0.5:0.7:0.1")
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "single --alpha value" in err
 
 
 def test_missing_alpha(capsys):
@@ -449,6 +459,15 @@ def test_projection_error_partial_row(monkeypatch, capsys):
     assert values["converged"] == "false" and values["iters"] == "7"
     b = float(values["B"])
     assert b > 0 and float(values["discrepancy"]) == pytest.approx(abs(0.6 - b), abs=1e-11)
+
+
+def test_projection_error_row_from_the_projection(monkeypatch, capsys):
+    monkeypatch.setattr(measures, "MAX_OUTER_ITERS", 2)
+    code, out, err = run_cli(capsys, "bnt", "--d", "3", "--alpha", "1.0")
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "after 2 iterations" in err
+    values = dict(zip(RESULT_COLUMNS, out.strip().splitlines()[1].split(",")))
+    assert values["converged"] == "false" and values["iters"] == "2"
 
 
 # fixed ids, so that results stay comparable with earlier runs of the suite

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from witnesskit import measures
 from witnesskit.linalg import hs_inner, hs_norm
 from witnesskit.measures import (
     ProjectionConfig,
+    ProjectionError,
     bnt_check,
     gbi_violation,
     hs_measure_isotropic,
@@ -57,6 +59,16 @@ def test_nearest_separable_qutrit_recovers_threshold_state():
     assert res.distance == pytest.approx(np.sqrt(2) / 2, abs=5e-4)
     nearest = res.nearest.to_density()
     assert np.max(np.abs(nearest.matrix - isotropic(3, 0.25).matrix)) <= 1e-3
+
+
+def test_projection_error_carries_partial_result(monkeypatch):
+    monkeypatch.setattr(measures, "MAX_OUTER_ITERS", 2)
+    with pytest.raises(ProjectionError) as info:
+        nearest_separable(isotropic(3, 1.0))
+    res = info.value.result
+    assert not res.converged and res.iterations == 2
+    assert res.gap_certificate >= ProjectionConfig().tol_gap
+    assert sum(w for w, _, _ in res.nearest.terms) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nearest_ensemble_is_valid_convex_combination():

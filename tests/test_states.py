@@ -21,6 +21,7 @@ from witnesskit.states import (
 )
 from witnesskit.bases import ANTISYMMETRIC, generalized_basis
 from witnesskit.linalg import hs_norm
+from witnesskit.measures import isotropic_distance
 
 
 def test_max_entangled_d2():
@@ -77,6 +78,25 @@ def test_isotropic_separability_boundary():
     assert isotropic_separability(2, 1 / 3) == "separable"
     assert isotropic_separability(3, 0.3) == "entangled"
     assert isotropic_separability(4, 0.2) == "separable"
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_isotropic_separability_readers_agree(d):
+    # a grid over the whole alpha range, the threshold and its neighbouring floats
+    threshold = 1 / (d + 1)
+    assert IsotropicParams(d, threshold).separable
+    alphas = [*np.linspace(-1 / (d**2 - 1), 1, 41), threshold,
+              np.nextafter(threshold, 0), np.nextafter(threshold, 1)]
+    for alpha in alphas:
+        p = IsotropicParams(d, alpha)
+        assert p.separable == (alpha <= threshold)
+        assert isotropic_separability(d, alpha) == ("separable" if p.separable else "entangled")
+        assert (isotropic_distance(d, alpha) == 0) == p.separable
+        if p.separable:
+            with pytest.raises(ValueError, match="separable regime"):
+                p.entangled()
+        else:
+            assert p.entangled() is p
 
 
 @pytest.mark.parametrize("d,expected", [

@@ -70,6 +70,23 @@ def test_witness_candidate_degenerate_input():
         witness_candidate(rho, rho)
 
 
+def test_witness_candidate_rejects_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        witness_candidate(isotropic(2, 0.5), isotropic(3, 0.5))
+
+
+def test_min_over_separable_rejects_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        min_over_separable(np.eye(4), 2, 3)
+
+
+def test_min_over_separable_rejects_huge_operator():
+    # finite, but the solver's arithmetic overflows; warnings are errors in the tests
+    with pytest.raises(ValueError, match="too large") as info:
+        min_over_separable(np.full((4, 4), 1e308), 2, 2)
+    assert len(str(info.value).splitlines()) == 1
+
+
 def test_min_over_separable_identity():
     value, (psi, phi) = min_over_separable(np.eye(4), 2, 2, SolverConfig(n_starts=4))
     assert value == pytest.approx(1.0)
