@@ -41,7 +41,7 @@ class BasisSet:
             if abs(np.trace(g)) > TAU_HERM:
                 raise ValueError(f"generator {i} is not traceless")
         g = self.stack()
-        gram = np.einsum("iab,jab->ij", g.conj(), g).real
+        gram = np.einsum("iab,jab->ij", g.conj(), g, optimize=True).real
         if np.max(np.abs(gram - 2 * np.eye(len(self.generators)))) > TAU_EIG:
             raise ValueError("generators are not orthogonal with Tr g^i g^j = 2 delta_ij")
 
@@ -129,7 +129,7 @@ def bloch_decompose(rho: np.ndarray, basis_a: BasisSet, basis_b: BasisSet) -> Bl
     # Tr(rho g^i x 1) = sum_{a,b,c} rho[(a,c),(b,c)] g[b,a]
     a = (da / 2) * np.einsum("acbc,iba->i", r4, ga)
     b = (db / 2) * np.einsum("acad,jdc->j", r4, gb)
-    c = (da * db / 4) * np.einsum("acbd,iba,jdc->ij", r4, ga, gb)
+    c = (da * db / 4) * np.einsum("acbd,iba,jdc->ij", r4, ga, gb, optimize=True)
     for name, arr in (("a", a), ("b", b), ("c", c)):
         if np.max(np.abs(arr.imag)) > TAU_HERM:
             raise ValueError(

@@ -4,14 +4,26 @@ scans, emitted as CSV or JSON for external plotting.
 
 Exit codes: 0 success, 1 usage or domain error, 2 solver non-convergence
 (partial rows, where there are any, are still emitted and flag the failure).
+
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
+set: witnesskit's matrices are at most a few hundred wide, so a second
+OpenBLAS thread only spins, and its rounding moves the last printed digit.
+The count is set when this module loads before numpy does, as it does under
+``python -m witnesskit.cli`` and the ``witnesskit`` script; a process that
+imported numpy first keeps its threads and its environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
+
+# OpenBLAS reads its thread count once, when numpy loads
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -108,7 +108,7 @@ def test_gamma_signs_printed_patterns(d, expected):
 
 
 def test_gamma_signs_minus_on_antisymmetric():
-    for d in (4, 5):
+    for d in (4, 5, 12):
         basis = generalized_basis(d)
         signs = gamma_signs(d, basis)
         for s, label in zip(signs, basis.labels):
