@@ -30,7 +30,7 @@ print(f"  numeric distance   {result.distance:.8f}")
 print(f"  closed form        {closed:.8f}   (sqrt(3)/2 (alpha - 1/3))")
 print(f"  duality gap        {result.gap_certificate:.2e}")
 print(f"  outer iterations   {result.iterations}")
-print(f"  atoms in ensemble  {len(result.nearest.terms)}")
+print(f"  atoms in ensemble  {len(result.nearest.weights)}")
 
 # The projection is the threshold isotropic state.
 nearest = result.nearest.to_density()

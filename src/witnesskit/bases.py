@@ -1,5 +1,6 @@
 """Operator bases for qudits: Pauli, Gell-Mann and their generalization to
-arbitrary dimension, plus Bloch-style coefficient decompositions.
+arbitrary dimension, each held as one (d^2 - 1, d, d) array, plus
+Bloch-style coefficient decompositions.
 
 All generator families satisfy Tr g^i = 0 and Tr g^i g^j = 2 delta_ij.
 """
@@ -20,29 +21,28 @@ DIAGONAL = "diagonal"
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Ordered family of d^2 - 1 traceless orthogonal Hermitian generators."""
+    """Ordered family of d^2 - 1 traceless orthogonal Hermitian generators,
+    stacked as a (d^2 - 1, d, d) array; a sequence of matrices is coerced."""
 
     d: int
-    generators: tuple
+    generators: np.ndarray
     labels: tuple
 
     def __post_init__(self):
         n = self.d**2 - 1
-        if len(self.generators) != n or len(self.labels) != n:
-            raise ValueError(f"expected {n} generators for d={self.d}")
-
-    def stack(self) -> np.ndarray:
-        """Generators as a single (d^2-1, d, d) array."""
-        return np.stack(self.generators)
+        g = np.asarray(self.generators, dtype=complex)
+        if g.shape != (n, self.d, self.d) or len(self.labels) != n:
+            raise ValueError(f"expected {n} generators of shape ({self.d}, {self.d})")
+        object.__setattr__(self, "generators", g)
 
     def validate(self):
         """Check tracelessness and Tr g^i g^j = 2 delta_ij."""
-        for i, g in enumerate(self.generators):
-            if abs(np.trace(g)) > TAU_HERM:
-                raise ValueError(f"generator {i} is not traceless")
-        g = self.stack()
+        g = self.generators
+        bad = np.flatnonzero(np.abs(np.einsum("iaa->i", g)) > TAU_HERM)
+        if len(bad):
+            raise ValueError(f"generator {bad[0]} is not traceless")
         gram = np.einsum("iab,jab->ij", g.conj(), g, optimize=True).real
-        if np.max(np.abs(gram - 2 * np.eye(len(self.generators)))) > TAU_EIG:
+        if not np.max(np.abs(gram - 2 * np.eye(len(g)))) <= TAU_EIG:  # NaN fails too
             raise ValueError("generators are not orthogonal with Tr g^i g^j = 2 delta_ij")
 
 
@@ -125,7 +125,7 @@ def bloch_decompose(rho: np.ndarray, basis_a: BasisSet, basis_b: BasisSet) -> Bl
             f"state dim {rho.shape} incompatible with bases d_a={da}, d_b={db}"
         )
     r4 = rho.reshape(da, db, da, db)
-    ga, gb = basis_a.stack(), basis_b.stack()
+    ga, gb = basis_a.generators, basis_b.generators
     # Tr(rho g^i x 1) = sum_{a,b,c} rho[(a,c),(b,c)] g[b,a]
     a = (da / 2) * np.einsum("acbc,iba->i", r4, ga)
     b = (db / 2) * np.einsum("acad,jdc->j", r4, gb)
@@ -144,7 +144,7 @@ def bloch_compose(v: BlochVector, basis_a: BasisSet, basis_b: BasisSet) -> np.nd
     n_a, n_b = da**2 - 1, db**2 - 1
     if v.a.shape != (n_a,) or v.b.shape != (n_b,) or v.c.shape != (n_a, n_b):
         raise DimensionMismatchError("Bloch coefficient lengths do not match the bases")
-    ga, gb = basis_a.stack(), basis_b.stack()
+    ga, gb = basis_a.generators, basis_b.generators
     r4 = np.einsum("ab,cd->acbd", np.eye(da, dtype=complex), np.eye(db, dtype=complex))
     r4 = r4 + np.einsum("i,iab,cd->acbd", v.a, ga, np.eye(db))
     r4 = r4 + np.einsum("j,ab,jcd->acbd", v.b, np.eye(da), gb)

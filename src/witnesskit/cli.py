@@ -298,7 +298,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"witnesskit: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"witnesskit: {exc}", file=sys.stderr)
         return 1
 

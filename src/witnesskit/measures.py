@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import TAU_EIG, hs_inner, hs_norm
-from .states import DensityMatrix, IsotropicParams, ProductEnsemble
+from .states import DensityMatrix, IsotropicParams, ProductEnsemble, product_rows
 from .witness import SolverConfig, check_settings, min_over_separable, witness_candidate
 
 #: Frank-Wolfe iterations before the projection gives up with ProjectionError
@@ -141,7 +141,7 @@ def nearest_separable(
     gram, lin = np.ones((1, 1)), np.array([-value])
     last_phi = phi
     for it in range(1, MAX_OUTER_ITERS + 1):
-        x = (psis[:, :, None] * phis[:, None, :]).reshape(len(w), -1)
+        x = product_rows(psis, phis)
         rho = (x.T * w) @ x.conj()
         grad = 2 * (rho - target.matrix)
         v_vals, (v_psis, v_phis) = min_over_separable(
@@ -151,7 +151,7 @@ def nearest_separable(
         gap = hs_inner(rho, grad).real - v_vals[0]
         if gap < cfg.tol_gap:
             break
-        v_x = (v_psis[:, :, None] * v_phis[:, None, :]).reshape(len(v_vals), -1)
+        v_x = product_rows(v_psis, v_phis)
         v_lin = np.einsum("ka,ab,kb->k", v_x.conj(), target.matrix, v_x).real
         for psi, phi, c in zip(v_psis, v_phis, v_lin):
             row = np.abs(psis.conj() @ psi) ** 2 * np.abs(phis.conj() @ phi) ** 2
@@ -165,7 +165,7 @@ def nearest_separable(
             psis, phis = np.vstack([psis, psi])[keep], np.vstack([phis, phi])[keep]
             gram, lin, w = gram[np.ix_(keep, keep)], lin[keep], w[keep]
 
-    ensemble = ProductEnsemble(tuple(zip(w, psis, phis)))
+    ensemble = ProductEnsemble(w, psis, phis)
     result = MeasureResult(
         distance=hs_norm(ensemble.to_matrix() - target.matrix),
         nearest=ensemble,

@@ -1,6 +1,6 @@
 """Quantum states: validated density matrices, the maximally entangled
-vector, isotropic families for any subsystem dimension, product ensembles,
-and the PPT separability probe.
+vector, isotropic families for any subsystem dimension, product ensembles
+as stacked arrays, and the PPT separability probe.
 """
 
 from __future__ import annotations
@@ -91,49 +91,51 @@ class IsotropicParams:
         return self
 
 
+def product_rows(psis: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """The rows psi_k (x) phi_k of stacked vectors psis (k, d_a) and phis (k, d_b)."""
+    return (psis[:, :, None] * phis[:, None, :]).reshape(len(psis), -1)
+
+
 @dataclass(frozen=True)
 class ProductEnsemble:
-    """Convex combination of pure product states: terms (p_k, psi_k, phi_k)."""
+    """Convex combination sum_k w_k |psi_k phi_k><psi_k phi_k| of pure product
+    states, held as stacked ``weights`` (k,), ``psis`` (k, d_a) and ``phis`` (k, d_b)."""
 
-    terms: tuple
+    weights: np.ndarray
+    psis: np.ndarray
+    phis: np.ndarray
 
     def __post_init__(self):
-        if not self.terms:
+        w = np.asarray(self.weights, dtype=float)
+        psis = np.asarray(self.psis, dtype=complex)
+        phis = np.asarray(self.phis, dtype=complex)
+        if w.ndim != 1 or psis.ndim != 2 or phis.ndim != 2 or not len(w) == len(psis) == len(phis):
+            raise ValueError(f"ensemble needs weights (k,), psis (k, d_a) and phis (k, d_b), got "
+                             f"shapes {w.shape}, {psis.shape} and {phis.shape}")
+        if not len(w):
             raise ValueError("ensemble needs at least one term")
-        norm = []
-        total = 0.0
-        for p, psi, phi in self.terms:
-            psi = np.asarray(psi, dtype=complex)
-            phi = np.asarray(phi, dtype=complex)
-            if not (-1e-15 <= p <= 1 + 1e-12):
-                raise ValueError(f"weight {p} outside [0, 1]")
-            for v in (psi, phi):
-                if abs(np.linalg.norm(v) - 1) > TAU_EIG:
-                    raise ValueError("ensemble vectors must have unit norm")
-            total += p
-            norm.append((float(p), psi, phi))
-        if abs(total - 1) > TAU_HERM:
-            raise ValueError(f"weights sum to {total:.12g}, expected 1")
-        object.__setattr__(self, "terms", tuple(norm))
+        out = ~((-1e-15 <= w) & (w <= 1 + 1e-12))
+        if out.any():
+            raise ValueError(f"weight {w[out][0]} outside [0, 1]")
+        for v in (psis, phis):
+            if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1) <= TAU_EIG):  # NaN fails too
+                raise ValueError("ensemble vectors must have unit norm")
+        if abs(w.sum() - 1) > TAU_HERM:
+            raise ValueError(f"weights sum to {w.sum():.12g}, expected 1")
+        for name, value in (("weights", w), ("psis", psis), ("phis", phis)):
+            object.__setattr__(self, name, value)
 
     @property
-    def d_a(self) -> int:
-        return len(self.terms[0][1])
-
-    @property
-    def d_b(self) -> int:
-        return len(self.terms[0][2])
+    def terms(self) -> tuple:
+        """The (weight, psi, phi) triples, read-only."""
+        return tuple(zip(self.weights, self.psis, self.phis))
 
     def to_matrix(self) -> np.ndarray:
-        d = self.d_a * self.d_b
-        rho = np.zeros((d, d), dtype=complex)
-        for p, psi, phi in self.terms:
-            x = np.kron(psi, phi)
-            rho += p * np.outer(x, x.conj())
-        return rho
+        x = product_rows(self.psis, self.phis)
+        return (x.T * self.weights) @ x.conj()
 
     def to_density(self) -> DensityMatrix:
-        return DensityMatrix(self.to_matrix(), self.d_a, self.d_b)
+        return DensityMatrix(self.to_matrix(), self.psis.shape[1], self.phis.shape[1])
 
 
 def max_entangled(d: int) -> np.ndarray:
@@ -187,7 +189,7 @@ def gamma_operator(d: int) -> np.ndarray:
     generalized Gell-Mann generators g^i, with the signs of :func:`gamma_signs`."""
     basis = generalized_basis(d)
     signs = gamma_signs(d, basis)
-    g = basis.stack()
+    g = basis.generators
     return np.einsum("i,iab,icd->acbd", signs.astype(complex), g, g).reshape(d * d, d * d)
 
 

@@ -25,10 +25,9 @@ TAU_WIT = 1e-7
 class SolverError(RuntimeError):
     """Product-state minimization did not converge; carries the best value."""
 
-    def __init__(self, message, best_value, iterations):
+    def __init__(self, message, best_value):
         super().__init__(message)
         self.best_value = best_value
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -166,11 +165,8 @@ def _multistart(m, d_a, d_b, cfg, extra_starts):
         if not running.any():
             break
     if running.all():
-        raise SolverError(
-            f"product-state solver did not converge in {cfg.max_iters} iterations",
-            best_value=float(value.min()),
-            iterations=cfg.max_iters,
-        )
+        raise SolverError(f"product-state solver did not converge in {cfg.max_iters} iterations",
+                          float(value.min()))
     return value, psi, phi
 
 

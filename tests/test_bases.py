@@ -3,6 +3,7 @@ import pytest
 
 from witnesskit.bases import (
     ANTISYMMETRIC,
+    BasisSet,
     DIAGONAL,
     SYMMETRIC,
     bloch_compose,
@@ -47,6 +48,24 @@ def test_generalized_basis_invariants(d):
     b = generalized_basis(d)
     assert len(b.generators) == d**2 - 1
     b.validate()
+
+
+def test_basis_set_stacks_and_rejects():
+    b = pauli_basis()
+    assert b.generators.shape == (3, 2, 2) and b.generators.dtype == complex
+    same = BasisSet(2, tuple(b.generators), b.labels)  # a tuple of matrices is coerced
+    assert np.array_equal(same.generators, b.generators)
+    for d, gens, labels in ((2, b.generators[:2], b.labels), (2, b.generators, b.labels[:2]),
+                            (2, gell_mann_basis().generators[:3], b.labels)):
+        with pytest.raises(ValueError, match="expected"):
+            BasisSet(d, gens, labels)
+    traced = b.generators.copy()
+    traced[1] += np.eye(2)
+    with pytest.raises(ValueError, match="generator 1 is not traceless"):
+        BasisSet(2, traced, b.labels).validate()
+    for bad in (2 * b.generators, b.generators * np.array([1, 1, np.nan])[:, None, None]):
+        with pytest.raises(ValueError, match="orthogonal"):
+            BasisSet(2, bad, b.labels).validate()
 
 
 def test_generalized_basis_class_counts():

@@ -278,7 +278,7 @@ def test_projection_honours_n_starts(monkeypatch, capsys, command, flag, expecte
     def fake_bnt_check(target, cfg):
         seen.append(cfg)
         e = np.array([1.0, 0.0])
-        mr = MeasureResult(0.5, ProductEnsemble(((1.0, e, e),)), 0.0, 1)
+        mr = MeasureResult(0.5, ProductEnsemble([1.0], [e], [e]), 0.0, 1)
         return BntReport(0.5, 0.5, 0.0, mr)
 
     monkeypatch.setattr(cli, "bnt_check", fake_bnt_check)
@@ -444,9 +444,18 @@ def test_separable_target_row(capsys, command, d):
     assert values["converged"] == "true"
 
 
+@pytest.mark.parametrize("argv", [("bnt", "--d", "3000", "--alpha", "0.5"),
+                                  ("witness-check", "--d", "2000", "--alpha", "0.8")])
+def test_input_too_large_to_allocate(capsys, argv):
+    # the d^2 x d^2 state needs over 200 TiB, more than a 48-bit address space holds
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("witnesskit:")
+
+
 def test_projection_error_partial_row(monkeypatch, capsys):
     e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    mr = MeasureResult(0.6, ProductEnsemble(((0.5, e0, e0), (0.5, e1, e1))), 1e-3, 7, False)
+    mr = MeasureResult(0.6, ProductEnsemble([0.5, 0.5], [e0, e1], [e0, e1]), 1e-3, 7, False)
 
     def failing_bnt_check(target, cfg):
         raise ProjectionError("projection gap above tolerance", mr)

@@ -2,6 +2,7 @@
 one-thread BLAS rule, which must act before numpy loads and only then."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -93,6 +94,25 @@ def test_benchmark_names_resolve():
         "print(all(callable(getattr(owner, name)) for owner, name in pairs))\n"
     )
     assert run_python(code) == "True"
+
+
+def test_benchmark_fields_resolve():
+    # what perfbench/workloads.py and perfbench/layers.py read of a projection,
+    # and the oracle parameters layers._oracle_info binds by name
+    from witnesskit.measures import ProjectionError, bnt_check
+    from witnesskit.states import DensityMatrix, isotropic
+    from witnesskit.witness import min_over_separable
+
+    rep = bnt_check(isotropic(2, 0.8))
+    mr = rep.measure
+    assert len(mr.nearest.terms) == len(mr.nearest.weights) >= 1
+    assert isinstance(mr.nearest.to_density(), DensityMatrix)
+    assert all(isinstance(x, float) for x in (rep.d_value, rep.b_value, mr.gap_certificate))
+    assert isinstance(mr.iterations, int) and mr.converged is True
+    assert ProjectionError("gap above tolerance", mr).result is mr
+    params = inspect.signature(min_over_separable).parameters
+    assert {"cfg", "extra_starts"} <= set(params)
+    assert params["cfg"].default.n_starts >= 1
 
 
 THREADS_AFTER_CLI = "import os, witnesskit.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"

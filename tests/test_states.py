@@ -160,7 +160,7 @@ def test_twirl_detects_non_isotropic():
 
 
 def test_ensemble_single_term():
-    e = ProductEnsemble(((1.0, [1, 0], [1, 0]),))
+    e = ProductEnsemble([1.0], [[1, 0]], [[1, 0]])
     assert np.allclose(e.to_density().matrix, np.diag([1, 0, 0, 0]))
 
 
@@ -174,15 +174,51 @@ def test_ensemble_uniform_computational():
             psi[i] = 1
             phi[j] = 1
             terms.append((1 / d**2, psi, phi))
-    rho = ProductEnsemble(tuple(terms)).to_density()
+    rho = ProductEnsemble(*zip(*terms)).to_density()
     assert np.allclose(rho.matrix, np.eye(9) / 9)
 
 
 def test_ensemble_validation():
     with pytest.raises(ValueError):
-        ProductEnsemble(((0.5, [1, 0], [1, 0]),))  # weights don't sum to 1
+        ProductEnsemble([0.5], [[1, 0]], [[1, 0]])  # weights don't sum to 1
     with pytest.raises(ValueError):
-        ProductEnsemble(((1.0, [2, 0], [1, 0]),))  # non-unit vector
+        ProductEnsemble([1.0], [[2, 0]], [[1, 0]])  # non-unit vector
+
+
+def test_ensemble_matches_kron_sum():
+    rng = np.random.default_rng(14)
+    w = rng.random(7)
+    w /= w.sum()
+    psis = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+    phis = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    phis /= np.linalg.norm(phis, axis=1, keepdims=True)
+    e = ProductEnsemble(w, psis, phis)
+    reference = np.zeros((6, 6), dtype=complex)
+    for p, a, b in zip(w, psis, phis):
+        x = np.kron(a, b)
+        reference += p * np.outer(x, x.conj())
+    assert np.max(np.abs(e.to_matrix() - reference)) <= 1e-14
+    rho = e.to_density()
+    assert (rho.d_a, rho.d_b) == (2, 3)
+    assert len(e.terms) == 7
+    for (p, a, b), q, x, y in zip(e.terms, w, psis, phis):
+        assert p == q and np.array_equal(a, x) and np.array_equal(b, y)
+
+
+@pytest.mark.parametrize("weights,psis,phis,match", [
+    ([], np.zeros((0, 2)), np.zeros((0, 2)), "at least one term"),
+    ([0.5, 0.5], [[1, 0]], [[1, 0], [0, 1]], r"got shapes \(2,\), \(1, 2\) and \(2, 2\)"),
+    ([1.5, -0.5], [[1, 0], [0, 1]], [[1, 0], [0, 1]], "weight 1.5 outside"),
+    ([0.5, 0.5], [[1, 0], [0, 1]], [[1, 0], [0, 0.5]], "unit norm"),
+    ([1.0], [[np.nan, 0]], [[1, 0]], "unit norm"),
+    ([np.nan], [[1, 0]], [[1, 0]], "weight nan outside"),
+    (1.0, [[1, 0]], [[1, 0]], r"got shapes \(\),"),
+    ([1.0], [1, 0], [[1, 0]], r"\(1,\), \(2,\) and"),
+])
+def test_ensemble_rejects(weights, psis, phis, match):
+    with pytest.raises(ValueError, match=match):
+        ProductEnsemble(weights, psis, phis)
 
 
 def test_ensemble_states_are_ppt():
@@ -194,7 +230,7 @@ def test_ensemble_states_are_ppt():
         psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         terms.append((w, psi / np.linalg.norm(psi), phi / np.linalg.norm(phi)))
-    assert is_ppt(ProductEnsemble(tuple(terms)).to_density())
+    assert is_ppt(ProductEnsemble(*zip(*terms)).to_density())
 
 
 def test_is_ppt_isotropic():

@@ -196,9 +196,25 @@ def test_min_over_separable_budget_exhausted():
     best, _ = min_over_separable(a, 2, 3)
     with pytest.raises(SolverError) as info:
         min_over_separable(a, 2, 3, SolverConfig(max_iters=1))
-    assert info.value.iterations == 1
     assert np.isfinite(info.value.best_value)
     assert info.value.best_value >= best - 1e-12
+
+
+def test_min_over_separable_every_start():
+    # the projection enters atoms from these rows and warm-starts from row 0
+    rng = np.random.default_rng(33)
+    a = random_hermitian(rng, 6)
+    cfg = SolverConfig(n_starts=5)
+    extra = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    values, (psis, phis) = min_over_separable(a, 2, 3, cfg, extra, every_start=True)
+    assert len(values) == len(psis) == len(phis) == cfg.n_starts + len(extra)
+    assert np.all(np.diff(values) >= 0)
+    value, (psi, phi) = min_over_separable(a, 2, 3, cfg, extra)
+    assert values[0] == value
+    assert np.array_equal(psis[0], psi) and np.array_equal(phis[0], phi)
+    x = np.array([np.kron(p, f) for p, f in zip(psis, phis)])
+    rayleigh = np.einsum("ka,ab,kb->k", x.conj(), a, x).real
+    assert np.max(np.abs(values - rayleigh)) <= 1e-12
 
 
 def test_verify_nearest_separable_qubit():
