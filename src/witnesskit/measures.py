@@ -1,9 +1,10 @@
 """Hilbert-Schmidt distance machinery: closed forms for isotropic states,
 a projection onto the separable set by one Wolfe nearest-point loop (its
-major cycle is the product-state oracle, whose endpoints from every start
-may all enter; its minor cycle an exact atom-space weight step solved by
-LU), the generalized Bell inequality violation, and the
-distance-equals-violation equality check.
+iterate a ``ProductEnsemble``, its major cycle the product-state oracle,
+whose endpoints from every start may all enter, its minor cycle an exact
+weight step on the atoms' Gram matrix, built once per iteration), the
+generalized Bell inequality violation and the distance-equals-violation
+equality check.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TAU_EIG, hs_inner, hs_norm
+from .linalg import hs_inner, hs_norm
 from .states import DensityMatrix, IsotropicParams, ProductEnsemble, product_rows
 from .witness import SolverConfig, check_settings, min_over_separable, witness_candidate
 
@@ -74,19 +75,19 @@ def isotropic_distance(d: int, alpha: float) -> float:
     return 0.0 if IsotropicParams(d, alpha).separable else hs_measure_isotropic(d, alpha)
 
 
-def _corrective_weights(gram: np.ndarray, lin: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _corrective_weights(gram: np.ndarray, lin: np.ndarray, w: np.ndarray, j: int) -> np.ndarray:
     """Minimizer of w^T G w - 2 c^T w over the probability simplex by the
     minor cycle of Wolfe's nearest-point algorithm (Math. Programming 11,
-    1976).  ``w`` is optimal on every atom but the last, an oracle endpoint,
-    which enters with weight 0; the Frank-Wolfe loop is the major cycle.
-    Solve the KKT system [[G, 1], [1^T, 0]] on the atoms with weight and the
-    new one by LU, or by least squares if LU fails or leaves a relative
-    residual above 1e-10 (G is singular for affinely dependent atoms), and
-    while a weight of its solution is < 0, step towards it up to the
-    boundary, drop the atom that reaches 0 and solve again.  The result sums
-    to 1."""
+    1976).  ``w`` is optimal on the atoms with weight; atom ``j``, an oracle
+    endpoint with weight 0, enters, and every other atom of weight 0 stays
+    at 0.  The Frank-Wolfe loop is the major cycle.  Solve the KKT system
+    [[G, 1], [1^T, 0]] on the atoms with weight and atom ``j`` by LU, or by
+    least squares if LU fails or leaves a relative residual above 1e-10 (G
+    is singular for affinely dependent atoms), and while a weight of its
+    solution is < 0, step towards it up to the boundary, drop the atom that
+    reaches 0 and solve again.  The result sums to 1."""
     w = w.astype(float)
-    s = np.append(np.flatnonzero(w[:-1] > 0), len(w) - 1)
+    s = np.append(np.flatnonzero(w > 0), j)
     while True:
         kkt = np.pad(gram[np.ix_(s, s)], (0, 1), constant_values=1.0)
         kkt[-1, -1] = 0.0
@@ -119,17 +120,18 @@ def nearest_separable(
     Frank-Wolfe, which is Wolfe's nearest-point algorithm (Lacoste-Julien &
     Jaggi, NeurIPS 2015) over the pure product states.
 
-    The iterate is an explicit convex combination of pure product states
-    x_i = psi_i (x) phi_i.  Each step is a major cycle: the product-state
-    oracle (the witness-side solver) minimizes the linearized objective from
-    every start; the gap of its minimizer certifies the squared distance and
-    stops the loop below ``cfg.tol_gap``.  Otherwise each endpoint, in order
-    of value, whose gap at the current iterate is still >= ``cfg.tol_gap``
-    enters, and the minor cycle (``_corrective_weights``) re-optimizes the
-    weights exactly: the squared distance is w^T G w - 2 c^T w plus a
-    constant, with c_i = <x_i|target|x_i> and G_ij = |<x_i|x_j>|^2, which is
-    |<psi_i|psi_j>|^2 |<phi_i|phi_j>|^2 and grows by one row per entering
-    atom.  Atoms whose weight reaches 0 are dropped with their row.
+    The iterate is a ``ProductEnsemble`` of pure product states
+    x_i = psi_i (x) phi_i, carried with c_i = <x_i|target|x_i>.  Each step
+    is a major cycle: the product-state oracle (the witness-side solver)
+    minimizes the linearized objective from every start; the gap of its
+    minimizer certifies the squared distance and stops the loop below
+    ``cfg.tol_gap``.  Otherwise its endpoints join the atoms at weight 0,
+    the Gram matrix G_ij = |<x_i|x_j>|^2 = |<psi_i|psi_j>|^2 |<phi_i|phi_j>|^2
+    of all of them is built, and each endpoint, in order of value, whose gap
+    at the current weights is still >= ``cfg.tol_gap`` enters: the minor
+    cycle (``_corrective_weights``) re-optimizes the weights exactly, the
+    squared distance being w^T G w - 2 c^T w plus a constant.  The atoms
+    left with weight > 0 are the next iterate.
     """
     d_a, d_b = target.d_a, target.d_b
     if 1 in (d_a, d_b):
@@ -137,12 +139,10 @@ def nearest_separable(
 
     # initial atom: product state most aligned with the target
     value, (psi, phi) = min_over_separable(-target.matrix, d_a, d_b, cfg.solver)
-    psis, phis, w = psi[None], phi[None], np.ones(1)
-    gram, lin = np.ones((1, 1)), np.array([-value])
+    ensemble, lin = ProductEnsemble(np.ones(1), psi[None], phi[None]), np.array([-value])
     last_phi = phi
     for it in range(1, MAX_OUTER_ITERS + 1):
-        x = product_rows(psis, phis)
-        rho = (x.T * w) @ x.conj()
+        rho = ensemble.to_matrix()
         grad = 2 * (rho - target.matrix)
         v_vals, (v_psis, v_phis) = min_over_separable(
             grad, d_a, d_b, cfg.solver, extra_starts=(last_phi,), every_start=True
@@ -152,20 +152,18 @@ def nearest_separable(
         if gap < cfg.tol_gap:
             break
         v_x = product_rows(v_psis, v_phis)
-        v_lin = np.einsum("ka,ab,kb->k", v_x.conj(), target.matrix, v_x).real
-        for psi, phi, c in zip(v_psis, v_phis, v_lin):
-            row = np.abs(psis.conj() @ psi) ** 2 * np.abs(phis.conj() @ phi) ** 2
-            # <rho, grad> - <x|grad|x> at the current iterate, grad being 2 (G w - c)
-            if 2 * (w @ (gram @ w - lin) - (row @ w - c)) < cfg.tol_gap:
+        lin = np.append(lin, np.einsum("ka,ab,kb->k", v_x.conj(), target.matrix, v_x).real)
+        psis, phis = np.vstack([ensemble.psis, v_psis]), np.vstack([ensemble.phis, v_phis])
+        w = np.append(ensemble.weights, np.zeros(len(v_vals)))
+        gram = np.abs(psis.conj() @ psis.T) ** 2 * np.abs(phis.conj() @ phis.T) ** 2
+        for j in range(len(ensemble.weights), len(w)):
+            # <rho, grad> - <x_j|grad|x_j> at the current iterate, grad being 2 (G w - c)
+            if 2 * (w @ (gram @ w - lin) - (gram[j] @ w - lin[j])) < cfg.tol_gap:
                 continue
-            gram = np.block([[gram, row[:, None]], [row, 1.0]])
-            lin = np.append(lin, c)
-            w = _corrective_weights(gram, lin, np.append(w, 0.0))
-            keep = w > 0
-            psis, phis = np.vstack([psis, psi])[keep], np.vstack([phis, phi])[keep]
-            gram, lin, w = gram[np.ix_(keep, keep)], lin[keep], w[keep]
+            w = _corrective_weights(gram, lin, w, j)
+        keep = w > 0
+        ensemble, lin = ProductEnsemble(w[keep], psis[keep], phis[keep]), lin[keep]
 
-    ensemble = ProductEnsemble(w, psis, phis)
     result = MeasureResult(
         distance=hs_norm(ensemble.to_matrix() - target.matrix),
         nearest=ensemble,
@@ -197,11 +195,11 @@ def gbi_violation(
 
 def bnt_report(target: DensityMatrix, mr: MeasureResult, cfg: SolverConfig) -> BntReport:
     """Compare the projection's distance D with the maximal Bell-inequality
-    violation B of the witness built at its nearest state.  A nearest state
-    within TAU_EIG of the target defines no witness direction: the target is
-    separable, and B = 0."""
+    violation B of the witness built at its nearest state.  When D^2 is
+    within the gap certificate, the certificate cannot exclude D = 0: the
+    difference to the target is no witness direction, and B = 0."""
     b = 0.0
-    if mr.distance > TAU_EIG:
+    if mr.distance**2 > mr.gap_certificate:
         b = gbi_violation(target, witness_candidate(mr.nearest.to_density(), target), cfg)
     return BntReport(mr.distance, b, abs(mr.distance - b), mr)
 

@@ -432,14 +432,20 @@ def test_malformed_state_json_fuzz(tmp_path, capsys, text):
     assert len(err.splitlines()) == 1 and err.startswith("witnesskit:")
 
 
-@pytest.mark.parametrize("command,d", [("measure", "2"), ("bnt", "3")])
-def test_separable_target_row(capsys, command, d):
-    code, out, _ = run_cli(capsys, command, "--d", d, "--alpha", "0.2")
+@pytest.mark.parametrize("command,d,alpha", [
+    ("measure", "2", "0.2"), ("bnt", "3", "0.2"), ("measure", "3", "0.1"), ("bnt", "4", "0.15"),
+    ("bnt", "2", "0.3333333333333333"),
+], ids=["measure-2", "bnt-3", "measure-3-0.1", "bnt-4-0.15", "bnt-2-0.333"])
+def test_separable_target_row(capsys, command, d, alpha):
+    code, out, _ = run_cli(capsys, command, "--d", d, "--alpha", alpha)
     assert code == 0
     header, row = out.strip().splitlines()
     values = dict(zip(RESULT_COLUMNS, row.split(",")))
     assert float(values["B"]) == 0.0 and float(values["D_closed"]) == 0.0
-    assert float(values["D_numeric"]) <= 1e-9
+    if alpha == "0.2":
+        assert float(values["D_numeric"]) <= 1e-9
+    else:  # next to the separable set's boundary: the gap cannot exclude D = 0
+        assert float(values["D_numeric"]) ** 2 <= float(values["gap"])
     assert values["discrepancy"] == values["D_numeric"]
     assert values["converged"] == "true"
 

@@ -4,16 +4,18 @@ import pytest
 from witnesskit import measures
 from witnesskit.linalg import hs_inner, hs_norm
 from witnesskit.measures import (
+    MeasureResult,
     ProjectionConfig,
     ProjectionError,
     bnt_check,
+    bnt_report,
     gbi_violation,
     hs_measure_isotropic,
     _corrective_weights,
     infinite_d_trend,
     nearest_separable,
 )
-from witnesskit.states import DensityMatrix, is_ppt, isotropic
+from witnesskit.states import DensityMatrix, ProductEnsemble, is_ppt, isotropic
 from witnesskit.witness import SolverConfig, optimal_witness_isotropic
 
 
@@ -115,6 +117,18 @@ def test_bnt_check_reference_value():
     assert report.d_value == pytest.approx(np.sqrt(3) / 2 * (0.9 - 1 / 3), abs=5e-4)
 
 
+@pytest.mark.parametrize("gap", [2e-10, 0.5e-10])
+def test_bnt_report_no_witness_within_the_gap(gap):
+    # D^2 = 1e-10: within a gap of 2e-10 the gap cannot exclude D = 0, so no
+    # witness is built and B = 0; beyond a gap of 0.5e-10, B comes from the
+    # witness at the (here far from optimal) nearest state
+    e0 = np.array([1.0, 0.0])
+    mr = MeasureResult(1e-5, ProductEnsemble([1.0], [e0], [e0]), gap, 3)
+    rep = bnt_report(isotropic(2, 0.3), mr, SolverConfig())
+    assert rep.d_value == 1e-5 and rep.discrepancy == abs(1e-5 - rep.b_value)
+    assert (rep.b_value == 0.0) == (gap > 1e-10)
+
+
 def test_distance_upper_bounded_by_explicit_separable_state():
     # any separable state gives an upper bound on the measure; the threshold
     # state is the minimizer
@@ -157,7 +171,7 @@ def test_corrective_weights_minor_cycle():
     gram, lin, w0 = _minor_cycle_case(0, 1.0)
     grad0 = gram @ w0 - lin
     assert np.ptp(grad0[:-1]) <= 1e-12 and grad0[-1] < grad0[0]
-    w = _corrective_weights(gram, lin, w0)
+    w = _corrective_weights(gram, lin, w0, 8)
     assert np.all(w >= 0)
     assert abs(w.sum() - 1) <= 1e-12
     on = w > 0
@@ -166,9 +180,23 @@ def test_corrective_weights_minor_cycle():
     assert np.any(w[:-1] == 0)  # the cycle stepped to the boundary
 
 
+def test_corrective_weights_enters_atom_j_only():
+    # the minor cycle's case with the entering atom moved to index 0 and a
+    # copy of it appended at weight 0: the copy has the same (lower) gradient
+    # but is not atom j, so it stays at 0
+    gram, lin, w0 = _minor_cycle_case(0, 1.0)
+    perm = [8, *range(8), 8]
+    w = _corrective_weights(gram[np.ix_(perm, perm)], lin[perm], w0[perm], 0)
+    assert w[-1] == 0.0 and w[0] > 0
+    assert np.all(w >= 0) and abs(w.sum() - 1) <= 1e-12
+    on = w > 0
+    assert np.ptp((gram[np.ix_(perm, perm)] @ w - lin[perm])[on]) <= 1e-10
+    assert np.allclose(w[:-1], _corrective_weights(gram, lin, w0, 8)[perm[:-1]], atol=1e-12)
+
+
 def test_corrective_weights_keeps_a_useless_atom_out():
     gram, lin, w0 = _minor_cycle_case(0, -1.0)
-    assert np.array_equal(_corrective_weights(gram, lin, w0), w0)
+    assert np.array_equal(_corrective_weights(gram, lin, w0, 8), w0)
 
 
 def test_corrective_weights_duplicate_atom():
@@ -185,7 +213,7 @@ def test_corrective_weights_duplicate_atom():
     kkt[-1, -1] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(kkt, np.append(lin, 1.0))
-    got = _corrective_weights(gram, lin, np.append(w, 0.0))
+    got = _corrective_weights(gram, lin, np.append(w, 0.0), 4)
     assert abs(got.sum() - 1) <= 1e-12
     assert got[0] == pytest.approx(w[0] / 2, abs=1e-12)
     assert got[-1] == pytest.approx(w[0] / 2, abs=1e-12)
