@@ -30,19 +30,22 @@ class SolverError(RuntimeError):
         self.best_value = best_value
 
 
+# Value decrease below which a start of ``min_over_separable`` has converged.
+TOL_CONV = 1e-12
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings for ``min_over_separable``: random starts, iterations per
-    start (an alternating step and a Newton step each), the convergence
-    tolerance on the value, and the seed of the random starts."""
+    start (an alternating step and a Newton step each) and the seed of the
+    random starts."""
 
     n_starts: int = 32
     max_iters: int = 500
-    tol_conv: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
-        check_settings(self, (("n_starts", 1), ("max_iters", 1), ("seed", 0)), ("tol_conv",))
+        check_settings(self, (("n_starts", 1), ("max_iters", 1), ("seed", 0)), ())
 
 
 def check_settings(config, integers, positive_finite):
@@ -107,7 +110,7 @@ def min_over_separable(
     where the next one starts; it crosses the flat valleys where alternating
     steps crawl.  A proposal that would raise the value is dropped for a
     plain alternating step.  A start has converged once a step lowers its
-    value by less than ``cfg.tol_conv``, if that step began at a proposal
+    value by less than ``TOL_CONV``, if that step began at a proposal
     or the Newton model predicts no larger decrease.  Starts still running
     when ``cfg.max_iters`` runs out take part with the value they reached;
     if none has converged, ``SolverError`` carries the best value seen.
@@ -149,16 +152,18 @@ def _multistart(m, d_a, d_b, cfg, extra_starts):
     running = np.ones(len(phi), dtype=bool)
     for _ in range(cfg.max_iters):
         act = np.flatnonzero(running)
-        q = _lowest(np.einsum("ikjl,sk,sl->sij", a4, start[act].conj(), start[act]))[1]
-        w, p = _lowest(np.einsum("ikjl,si,sj->skl", a4, q.conj(), q))
+        # column 0 of each eigenvector stack is psi (phi), the rest span its complement
+        va = np.linalg.eigh(np.einsum("ikjl,sk,sl->sij", a4, start[act].conj(), start[act]))[1]
+        w, vb = np.linalg.eigh(np.einsum("ikjl,si,sj->skl", a4, va[:, :, 0].conj(), va[:, :, 0]))
+        w = w[:, 0]
         ok = plain[act] | (w < value[act])
         length[act] = np.where(plain[act], length[act],
                                np.where(ok, np.minimum(2 * length[act], 1), length[act] / 4))
         moved = act[ok]
         decrease = value[moved] - w[ok]
-        psi[moved], phi[moved], value[moved] = q[ok], p[ok], w[ok]
-        proposal, predicted = _newton_step(m, psi[moved], phi[moved], value[moved], length[moved])
-        done = (decrease < cfg.tol_conv) & ((predicted < cfg.tol_conv) | ~plain[moved])
+        psi[moved], phi[moved], value[moved] = va[ok, :, 0], vb[ok, :, 0], w[ok]
+        proposal, predicted = _newton_step(m, va[ok], vb[ok], value[moved], length[moved])
+        done = (decrease < TOL_CONV) & ((predicted < TOL_CONV) | ~plain[moved])
         running[moved[done]] = False
         start[act], plain[act] = phi[act], True
         start[moved[~done]], plain[moved[~done]] = proposal[~done], False
@@ -170,33 +175,21 @@ def _multistart(m, d_a, d_b, cfg, extra_starts):
     return value, psi, phi
 
 
-def _lowest(ops):
-    """Lowest eigenvalue and unit eigenvector of each stacked Hermitian matrix."""
-    w, v = np.linalg.eigh(ops)
-    return w[:, 0], v[:, :, 0]
+def _second_order(a, va, vb, value):
+    """Riemannian gradient and Hessian at each start: ``(grad, hess)``.
 
-
-def _complement(v):
-    """Orthonormal bases of the complements of the stacked unit vectors ``v``:
-    the last columns of the Householder reflection taking e_1 to v's ray."""
-    h = v * np.exp(-1j * np.angle(v[:, :1]))
-    h[:, 0] += 1
-    return np.eye(v.shape[1])[:, 1:] - h[:, :, None] * h[:, None, 1:].conj() / h[:, :1, None].real
-
-
-def _second_order(a, psi, phi, value):
-    """Riemannian gradient and Hessian at each start: ``(grad, hess, pa, pb)``.
-
-    With pa, pb orthonormal bases of the complements of {psi, i psi} and
-    {phi, i phi}, the quotient at normalized (psi + pa u, phi + pb v) is
+    Column 0 of each unitary ``va`` (``vb``) is psi (phi); its other columns
+    pa (pb) are an orthonormal basis of the complement of {psi, i psi}
+    ({phi, i phi}), any such basis serving.  The quotient at normalized
+    (psi + pa u, phi + pb v) is
     g + 2 Re(r^H w) + w^H (J^H a J - g) w + 2 Re(u^T pa^T conj(Y) pb v) to
     second order, with w = (u, v), J = [pa x phi, psi x pb], r = J^H a
     |psi phi> and Y the d_a x d_b reshape of a |psi phi>.  ``grad`` and
     ``hess`` refer to the real coordinates (Re w, Im w).
     """
-    n, d_a, d_b = len(psi), psi.shape[1], phi.shape[1]
+    n, d_a, d_b = len(va), va.shape[1], vb.shape[1]
     na, nb, dim = d_a - 1, d_b - 1, d_a * d_b
-    pa, pb = _complement(psi), _complement(phi)
+    psi, phi, pa, pb = va[:, :, 0], vb[:, :, 0], va[:, :, 1:], vb[:, :, 1:]
     y = np.einsum("ikjl,sj,sl->sik", a.reshape(d_a, d_b, d_a, d_b), psi, phi)
     jac = np.concatenate([(pa[:, :, None, :] * phi[:, None, :, None]).reshape(n, dim, na),
                           (psi[:, :, None, None] * pb[:, None, :, :]).reshape(n, dim, nb)],
@@ -211,18 +204,19 @@ def _second_order(a, psi, phi, value):
     plus, minus = 2 * (k + c), 2 * (k - c)
     hess = np.concatenate([np.concatenate([plus.real, -plus.imag], axis=2),
                            np.concatenate([minus.imag, minus.real], axis=2)], axis=1)
-    return 2 * np.concatenate([r.real, r.imag], axis=1), hess, pa, pb
+    return 2 * np.concatenate([r.real, r.imag], axis=1), hess
 
 
-def _newton_step(a, psi, phi, value, length):
-    """Damped Newton step for each start: the proposed phi (the phi part of
-    the step, scaled by ``length``) and the decrease the model predicts.
+def _newton_step(a, va, vb, value, length):
+    """Damped Newton step for each start, in the tangent bases of
+    ``_second_order``: the proposed phi (the phi part of the step, scaled by
+    ``length``) and the decrease the model predicts.
 
     The Hessian is shifted by max(0, -lowest eigenvalue) + |gradient|
     (Levenberg-Marquardt), so that no step heads for a saddle point and the
     system stays regular along orbits of minimizers, where it is singular.
     """
-    grad, hess, _, pb = _second_order(a, psi, phi, value)
+    grad, hess = _second_order(a, va, vb, value)
     lowest = np.linalg.eigvalsh(hess)
     # the last term keeps the shift above rounding error in hess
     mu = (np.maximum(-lowest[:, 0], 0) + np.linalg.norm(grad, axis=1)
@@ -230,9 +224,9 @@ def _newton_step(a, psi, phi, value, length):
     mu[mu == 0] = 1.0
     x = -np.linalg.solve(hess + mu[:, None, None] * np.eye(grad.shape[1]), grad[..., None])[..., 0]
     predicted = 0.5 * (mu * np.einsum("si,si->s", x, x) - np.einsum("si,si->s", grad, x))
-    na, nb = psi.shape[1] - 1, phi.shape[1] - 1
+    na, nb = va.shape[1] - 1, vb.shape[1] - 1
     v = x[:, na:na + nb] + 1j * x[:, 2 * na + nb:]
-    proposal = phi + length[:, None] * (pb @ v[:, :, None])[:, :, 0]
+    proposal = vb[:, :, 0] + length[:, None] * (vb[:, :, 1:] @ v[:, :, None])[:, :, 0]
     return proposal / np.linalg.norm(proposal, axis=1, keepdims=True), predicted
 
 

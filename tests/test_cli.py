@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -535,3 +536,36 @@ def test_cli_runs_without_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0] []"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_examples():
+    """Arguments of each command in the sh block under README's "## Command line"."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def workflow_examples():
+    """Arguments of each ``witnesskit.cli`` command in the run script of the
+    CI workflow's "Command-line examples" step."""
+    lines = (ROOT / ".github" / "workflows" / "tests.yml").read_text().splitlines()
+    step = next(i for i, line in enumerate(lines)
+                if line.strip() == "- name: Command-line examples")
+    run = next(i for i in range(step, len(lines)) if lines[i].strip() == "run: |")
+    indent = len(lines[run]) - len(lines[run].lstrip())
+    script = []
+    for line in lines[run + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        script.append(line)
+    argvs = [shlex.split(line) for line in script]
+    return [argv[argv.index("witnesskit.cli") + 1:] for argv in argvs if "witnesskit.cli" in argv]
+
+
+def test_readme_examples_match_the_workflow():
+    # CI runs the README's command-line examples; the two lists must not drift
+    assert readme_examples()
+    assert workflow_examples() == readme_examples()

@@ -135,6 +135,21 @@ def random_unit(rng, d):
     return v / np.linalg.norm(v)
 
 
+def random_frame(rng, v):
+    """A unitary with first column v, its other columns from the QR of a
+    random matrix: an arbitrary orthonormal basis of v's complement."""
+    d = len(v)
+    z = rng.standard_normal((d, d - 1)) + 1j * rng.standard_normal((d, d - 1))
+    q = np.linalg.qr(np.column_stack([v, z]))[0]
+    q[:, 0] = v  # QR returns v times a unit phase
+    return q
+
+
+def random_unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(z)[0]
+
+
 def test_newton_model_matches_finite_differences():
     # the analytic Riemannian gradient and Hessian of the Rayleigh quotient,
     # against central differences in the same tangent coordinates
@@ -142,10 +157,11 @@ def test_newton_model_matches_finite_differences():
     d_a, d_b = 2, 3
     a = random_hermitian(rng, d_a * d_b)
     psi, phi = random_unit(rng, d_a), random_unit(rng, d_b)
+    va, vb = random_frame(rng, psi), random_frame(rng, phi)
     x0 = np.kron(psi, phi)
     value = np.vdot(x0, a @ x0).real
-    grad, hess, pa, pb = witness._second_order(a, psi[None], phi[None], np.array([value]))
-    grad, hess, pa, pb = grad[0], hess[0], pa[0], pb[0]
+    grad, hess = witness._second_order(a, va[None], vb[None], np.array([value]))
+    grad, hess, pa, pb = grad[0], hess[0], va[:, 1:], vb[:, 1:]
     m = d_a + d_b - 2
 
     def f(t):
@@ -165,6 +181,27 @@ def test_newton_model_matches_finite_differences():
     ])
     assert np.max(np.abs(fd_hv - hess @ v)) <= 1e-5 * np.abs(hess).max()
     assert np.max(np.abs(hess - hess.T)) <= 1e-12
+
+
+@pytest.mark.parametrize("d_a,d_b", [(2, 2), (2, 3), (3, 3), (4, 4)])
+def test_newton_step_ignores_the_tangent_basis(d_a, d_b):
+    # the step is taken in the half-steps' eigenbases; rotating the columns
+    # that span psi's and phi's complements must not move it
+    rng = np.random.default_rng(41 + d_a * d_b)
+    a = random_hermitian(rng, d_a * d_b)
+    a4 = a.reshape(d_a, d_b, d_a, d_b)
+    phi = random_unit(rng, d_b)
+    va = np.linalg.eigh(np.einsum("ikjl,k,l->ij", a4, phi.conj(), phi))[1]
+    w, vb = np.linalg.eigh(np.einsum("ikjl,i,j->kl", a4, va[:, 0].conj(), va[:, 0]))
+    value, length = np.array([w[0]]), np.array([1.0])
+    proposal, predicted = witness._newton_step(a, va[None], vb[None], value, length)
+    for _ in range(3):
+        ra, rb = va.copy(), vb.copy()
+        ra[:, 1:] = va[:, 1:] @ random_unitary(rng, d_a - 1)
+        rb[:, 1:] = vb[:, 1:] @ random_unitary(rng, d_b - 1)
+        turned, turned_predicted = witness._newton_step(a, ra[None], rb[None], value, length)
+        assert np.max(np.abs(turned - proposal)) <= 1e-12
+        assert abs(turned_predicted[0] - predicted[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("d_b,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
@@ -379,7 +416,6 @@ def test_chsh_max_rejects_qutrits():
 @pytest.mark.parametrize("settings", [
     {"n_starts": 0}, {"n_starts": -1}, {"n_starts": "abc"}, {"n_starts": 2.0},
     {"max_iters": 0}, {"max_iters": True}, {"seed": -1}, {"seed": None},
-    {"tol_conv": 0.0}, {"tol_conv": None}, {"tol_conv": float("inf")}, {"tol_conv": float("nan")},
 ])
 def test_solver_config_rejects_bad_settings(settings):
     with pytest.raises(ValueError):
