@@ -2,9 +2,10 @@
 a projection onto the separable set by one Wolfe nearest-point loop (its
 iterate a ``ProductEnsemble``, its major cycle the product-state oracle,
 whose endpoints from every start may all enter, its minor cycle an exact
-weight step on the atoms' Gram matrix, built once per iteration), the
-generalized Bell inequality violation and the distance-equals-violation
-equality check.
+weight step on the atoms' Gram matrix, built once per iteration; each
+endpoint's <x|target|x> and the Frank-Wolfe gaps of all atoms come from
+the oracle's values and that Gram matrix), the generalized Bell inequality
+violation and the distance-equals-violation equality check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import hs_inner, hs_norm
-from .states import DensityMatrix, IsotropicParams, ProductEnsemble, product_rows
+from .states import DensityMatrix, IsotropicParams, ProductEnsemble
 from .witness import SolverConfig, check_settings, min_over_separable, witness_candidate
 
 #: Frank-Wolfe iterations before the projection gives up with ProjectionError
@@ -75,17 +76,24 @@ def isotropic_distance(d: int, alpha: float) -> float:
     return 0.0 if IsotropicParams(d, alpha).separable else hs_measure_isotropic(d, alpha)
 
 
+def _gaps(gram: np.ndarray, lin: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Frank-Wolfe gap 2 (w.g - g_j) of every atom j, g = G w - c."""
+    g = gram @ w - lin
+    return 2 * (w @ g - g)
+
+
 def _corrective_weights(gram: np.ndarray, lin: np.ndarray, w: np.ndarray, j: int) -> np.ndarray:
-    """Minimizer of w^T G w - 2 c^T w over the probability simplex by the
-    minor cycle of Wolfe's nearest-point algorithm (Math. Programming 11,
-    1976).  ``w`` is optimal on the atoms with weight; atom ``j``, an oracle
-    endpoint with weight 0, enters, and every other atom of weight 0 stays
-    at 0.  The Frank-Wolfe loop is the major cycle.  Solve the KKT system
-    [[G, 1], [1^T, 0]] on the atoms with weight and atom ``j`` by LU, or by
-    least squares if LU fails or leaves a relative residual above 1e-10 (G
-    is singular for affinely dependent atoms), and while a weight of its
-    solution is < 0, step towards it up to the boundary, drop the atom that
-    reaches 0 and solve again.  The result sums to 1."""
+    """Minimizer of w^T G w - 2 c^T w, c = ``lin``, over the probability
+    simplex by the minor cycle of Wolfe's nearest-point algorithm (Math.
+    Programming 11, 1976).  ``w`` is optimal on the atoms with weight; atom
+    ``j``, an oracle endpoint with weight 0, enters, and every other atom of
+    weight 0 stays at 0.  The Frank-Wolfe loop is the major cycle.  Solve
+    the KKT system [[G, 1], [1^T, 0]] on the atoms with weight and atom
+    ``j`` by LU, or by least squares if LU fails or leaves a relative
+    residual above 1e-10 (G is singular for affinely dependent atoms), and
+    while a weight of its solution is < 0, step towards it up to the
+    boundary, drop the atom that reaches 0 and solve again.  The result
+    sums to 1."""
     w = w.astype(float)
     s = np.append(np.flatnonzero(w > 0), j)
     while True:
@@ -121,51 +129,53 @@ def nearest_separable(
     Jaggi, NeurIPS 2015) over the pure product states.
 
     The iterate is a ``ProductEnsemble`` of pure product states
-    x_i = psi_i (x) phi_i, carried with c_i = <x_i|target|x_i>.  Each step
-    is a major cycle: the product-state oracle (the witness-side solver)
-    minimizes the linearized objective from every start; the gap of its
-    minimizer certifies the squared distance and stops the loop below
-    ``cfg.tol_gap``.  Otherwise its endpoints join the atoms at weight 0,
-    the Gram matrix G_ij = |<x_i|x_j>|^2 = |<psi_i|psi_j>|^2 |<phi_i|phi_j>|^2
-    of all of them is built, and each endpoint, in order of value, whose gap
-    at the current weights is still >= ``cfg.tol_gap`` enters: the minor
-    cycle (``_corrective_weights``) re-optimizes the weights exactly, the
-    squared distance being w^T G w - 2 c^T w plus a constant.  The atoms
-    left with weight > 0 are the next iterate.
+    x_i = psi_i (x) phi_i with weights w.  With c_i = <x_i|target|x_i> and
+    G_ij = |<x_i|x_j>|^2 = |<psi_i|psi_j>|^2 |<phi_i|phi_j>|^2 the squared
+    distance is w^T G w - 2 c^T w plus a constant, and an atom's value under
+    grad = 2 (rho - target) is <x_j|grad|x_j> = 2 g_j, g = G w - c.  Each
+    step is a major cycle: the product-state oracle (the witness-side
+    solver) minimizes that value from every start; its endpoints join the
+    atoms at weight 0, with c_j = (G w)_j - v_j / 2 read off their values
+    v_j.  The gap 2 (w.g - g_j) of the oracle's minimizer certifies the
+    squared distance; the loop stops on it below ``cfg.tol_gap``, or at
+    ``MAX_OUTER_ITERS``, before the weights move, so distance, ensemble and
+    gap belong to one iterate.  Otherwise each endpoint, in order of value,
+    whose gap is still >= ``cfg.tol_gap`` enters: the minor cycle
+    (``_corrective_weights``) re-optimizes the weights exactly and the gaps
+    are recomputed.  The atoms left with weight > 0 are the next iterate.
     """
     d_a, d_b = target.d_a, target.d_b
     if 1 in (d_a, d_b):
         raise ValueError("projection needs a bipartite state")
 
-    # initial atom: product state most aligned with the target
+    # initial atom: product state most aligned with the target, c = <x|target|x> = -value
     value, (psi, phi) = min_over_separable(-target.matrix, d_a, d_b, cfg.solver)
     ensemble, lin = ProductEnsemble(np.ones(1), psi[None], phi[None]), np.array([-value])
     last_phi = phi
     for it in range(1, MAX_OUTER_ITERS + 1):
         rho = ensemble.to_matrix()
-        grad = 2 * (rho - target.matrix)
         v_vals, (v_psis, v_phis) = min_over_separable(
-            grad, d_a, d_b, cfg.solver, extra_starts=(last_phi,), every_start=True
+            2 * (rho - target.matrix), d_a, d_b, cfg.solver, (last_phi,), every_start=True
         )
         last_phi = v_phis[0]
-        gap = hs_inner(rho, grad).real - v_vals[0]
-        if gap < cfg.tol_gap:
-            break
-        v_x = product_rows(v_psis, v_phis)
-        lin = np.append(lin, np.einsum("ka,ab,kb->k", v_x.conj(), target.matrix, v_x).real)
+        k = len(ensemble.weights)
         psis, phis = np.vstack([ensemble.psis, v_psis]), np.vstack([ensemble.phis, v_phis])
         w = np.append(ensemble.weights, np.zeros(len(v_vals)))
         gram = np.abs(psis.conj() @ psis.T) ** 2 * np.abs(phis.conj() @ phis.T) ** 2
-        for j in range(len(ensemble.weights), len(w)):
-            # <rho, grad> - <x_j|grad|x_j> at the current iterate, grad being 2 (G w - c)
-            if 2 * (w @ (gram @ w - lin) - (gram[j] @ w - lin[j])) < cfg.tol_gap:
-                continue
-            w = _corrective_weights(gram, lin, w, j)
+        lin = np.append(lin, gram[k:] @ w - v_vals / 2)  # v_j = <x_j|grad|x_j> = 2 (G w - c)_j
+        gaps = _gaps(gram, lin, w)
+        gap = gaps[k]
+        if gap < cfg.tol_gap or it == MAX_OUTER_ITERS:
+            break
+        for j in range(k, len(w)):
+            if gaps[j] >= cfg.tol_gap:
+                w = _corrective_weights(gram, lin, w, j)
+                gaps = _gaps(gram, lin, w)
         keep = w > 0
         ensemble, lin = ProductEnsemble(w[keep], psis[keep], phis[keep]), lin[keep]
 
     result = MeasureResult(
-        distance=hs_norm(ensemble.to_matrix() - target.matrix),
+        distance=hs_norm(rho - target.matrix),
         nearest=ensemble,
         gap_certificate=float(gap),
         iterations=it,

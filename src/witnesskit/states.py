@@ -91,11 +91,6 @@ class IsotropicParams:
         return self
 
 
-def product_rows(psis: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """The rows psi_k (x) phi_k of stacked vectors psis (k, d_a) and phis (k, d_b)."""
-    return (psis[:, :, None] * phis[:, None, :]).reshape(len(psis), -1)
-
-
 @dataclass(frozen=True)
 class ProductEnsemble:
     """Convex combination sum_k w_k |psi_k phi_k><psi_k phi_k| of pure product
@@ -131,7 +126,7 @@ class ProductEnsemble:
         return tuple(zip(self.weights, self.psis, self.phis))
 
     def to_matrix(self) -> np.ndarray:
-        x = product_rows(self.psis, self.phis)
+        x = (self.psis[:, :, None] * self.phis[:, None, :]).reshape(len(self.psis), -1)
         return (x.T * self.weights) @ x.conj()
 
     def to_density(self) -> DensityMatrix:

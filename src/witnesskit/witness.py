@@ -261,23 +261,14 @@ def optimal_witness_isotropic(d: int, alpha: float) -> np.ndarray:
     return pref * (np.eye(d * d) - d / (2 * (d - 1)) * gamma)
 
 
-def _dot_sigma(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    sx, sy, sz = pauli_basis().generators
-    return v[0] * sx + v[1] * sy + v[2] * sz
-
-
 def chsh_operator(a, a_p, b, b_p) -> np.ndarray:
     """CHSH operator a.sigma x (b+b').sigma + a'.sigma x (b-b').sigma for
     unit vectors in R^3; the inequality reads <rho, 2*1 - B> >= 0."""
-    for v in (a, a_p, b, b_p):
-        if abs(np.linalg.norm(np.asarray(v, dtype=float)) - 1) > TAU_EIG:
-            raise ValueError("CHSH settings must be unit vectors")
-    b = np.asarray(b, dtype=float)
-    b_p = np.asarray(b_p, dtype=float)
-    return np.kron(_dot_sigma(a), _dot_sigma(b + b_p)) + np.kron(
-        _dot_sigma(a_p), _dot_sigma(b - b_p)
-    )
+    v = np.array([a, a_p, b, b_p], dtype=float)
+    if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1) <= TAU_EIG):
+        raise ValueError("CHSH settings must be unit vectors")
+    a, a_p, b, b_p = np.tensordot(v, pauli_basis().generators, axes=1)
+    return np.kron(a, b + b_p) + np.kron(a_p, b - b_p)
 
 
 def chsh_max_violation(rho: DensityMatrix) -> float:

@@ -16,7 +16,7 @@ from witnesskit.measures import (
     nearest_separable,
 )
 from witnesskit.states import DensityMatrix, ProductEnsemble, is_ppt, isotropic
-from witnesskit.witness import SolverConfig, optimal_witness_isotropic
+from witnesskit.witness import SolverConfig, min_over_separable, optimal_witness_isotropic
 
 
 def test_hs_distance_isotropic_pair():
@@ -71,6 +71,21 @@ def test_projection_error_carries_partial_result(monkeypatch):
     assert not res.converged and res.iterations == 2
     assert res.gap_certificate >= ProjectionConfig().tol_gap
     assert sum(w for w, _, _ in res.nearest.terms) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_projection_error_reports_one_iterate(monkeypatch, d):
+    # the partial result's distance and gap both belong to its nearest state
+    monkeypatch.setattr(measures, "MAX_OUTER_ITERS", 2)
+    target = isotropic(d, 1.0)
+    with pytest.raises(ProjectionError) as info:
+        nearest_separable(target)
+    res = info.value.result
+    rho = res.nearest.to_matrix()
+    assert res.distance == hs_norm(rho - target.matrix)
+    grad = 2 * (rho - target.matrix)
+    sep_min, _ = min_over_separable(grad, d, d, SolverConfig(n_starts=64))
+    assert res.gap_certificate == pytest.approx(hs_inner(rho, grad).real - sep_min, abs=1e-9)
 
 
 def test_nearest_ensemble_is_valid_convex_combination():

@@ -356,6 +356,11 @@ def test_chsh_operator_rejects_non_unit():
         chsh_operator([1, 0, 0], [0, 2, 0], [0, 0, 1], [1, 0, 0])
 
 
+def test_chsh_operator_rejects_nan_settings():
+    with pytest.raises(ValueError):
+        chsh_operator([np.nan, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0])
+
+
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
 def test_chsh_max_violation_isotropic(alpha):
     value = chsh_max_violation(isotropic(2, alpha))
