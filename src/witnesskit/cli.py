@@ -2,8 +2,8 @@
 projections, distance-vs-violation comparisons, sign patterns, and CHSH
 scans, emitted as CSV or JSON for external plotting.
 
-Exit codes: 0 success, 1 usage or domain error, 2 solver non-convergence
-(partial rows, where there are any, are still emitted and flag the failure).
+Exit codes, set by ``main`` alone: 0 success, 1 usage or domain error, 2
+solver non-convergence (partial rows, if any, are still emitted, flagged).
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
 set: witnesskit's matrices are at most a few hundred wide, so a second
@@ -71,10 +71,12 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _parse_alpha_range(spec: str):
+def _parse_alpha_range(spec: str | None):
     """'v' for a single value, 'start:end:step' for an inclusive grid of at
     most MAX_ALPHA_POINTS points; a grid point past ``end`` by a rounding
-    error still counts as ``end``."""
+    error still counts as ``end``.  ``None`` (no --alpha) raises."""
+    if spec is None:
+        raise ValueError("--alpha is required (or --state where supported)")
     parts = spec.split(":")
     if len(parts) == 1:
         return [float(parts[0])]
@@ -87,13 +89,10 @@ def _parse_alpha_range(spec: str):
         raise ValueError("alpha range step must be > 0")
     if start > end:
         raise ValueError(f"bad alpha range {spec!r}; start must not exceed end")
-    # the grid below has floor((end - start) / step + 1e-9) + 1 points
-    if (end - start) / step + 1e-9 >= MAX_ALPHA_POINTS:
+    last = (end - start) / step + 1e-9  # the grid's last index, before rounding down
+    if last >= MAX_ALPHA_POINTS:
         raise ValueError(f"bad alpha range {spec!r}; more than {MAX_ALPHA_POINTS} points")
-    values = []
-    while (v := start + len(values) * step) <= end + 1e-9 * step:
-        values.append(v)
-    return values
+    return [start + i * step for i in range(int(last) + 1)]
 
 
 def _emit(rows, columns, args):
@@ -156,17 +155,16 @@ def _result_row(d, alpha, report):
     )
 
 
-def cmd_iso_sweep(args) -> int:
+def cmd_iso_sweep(args) -> None:
     columns = ("d", "alpha", "threshold", "separable", "D")
     rows = []
     for alpha in _parse_alpha_range(args.alpha):
         p = IsotropicParams(args.d, alpha)
         rows.append((args.d, alpha, p.threshold, p.separable, isotropic_distance(args.d, alpha)))
     _emit(rows, columns, args)
-    return 0
 
 
-def cmd_gamma_signs(args) -> int:
+def cmd_gamma_signs(args) -> None:
     signs = gamma_signs(args.d)
     pattern = " ".join("+" if s > 0 else "-" for s in signs)
     if args.format == "json":
@@ -174,10 +172,9 @@ def cmd_gamma_signs(args) -> int:
     else:
         text = pattern + "\n"
     _write(text, args)
-    return 0
 
 
-def cmd_witness_check(args) -> int:
+def cmd_witness_check(args) -> None:
     if (args.state is None) != (args.guess is None):
         raise ValueError("--state and --guess must be given together")
     if args.state and args.guess_alpha is not None:
@@ -197,24 +194,20 @@ def cmd_witness_check(args) -> int:
         raise
     _emit([(d, alpha, report.ent_expectation, report.sep_minimum,
             report.is_witness, report.is_optimal)], columns, args)
-    return 0
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> None:
     target, d, alpha = _target(args)
     cfg = _projection_config(args)
-    exit_code = 0
     try:
         report = bnt_check(target, cfg)
-    except ProjectionError as exc:
-        report = bnt_report(target, exc.result, cfg.solver)
-        exit_code = 2
-        print(f"witnesskit: {exc}", file=sys.stderr)
+    except ProjectionError as exc:  # partial row: the last iterate, flagged as not converged
+        _emit([_result_row(d, alpha, bnt_report(target, exc.result, cfg.solver))], RESULT_COLUMNS, args)
+        raise
     _emit([_result_row(d, alpha, report)], RESULT_COLUMNS, args)
-    return exit_code
 
 
-def cmd_chsh_scan(args) -> int:
+def cmd_chsh_scan(args) -> None:
     if args.d != 2:
         raise ValueError("chsh-scan is defined for d = 2 only")
     columns = ("d", "alpha", "chsh_max", "lhv_bound", "violates_chsh")
@@ -223,7 +216,6 @@ def cmd_chsh_scan(args) -> int:
         value = chsh_max_violation(isotropic(2, alpha))
         rows.append((2, alpha, value, 2.0, value > 2.0))
     _emit(rows, columns, args)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,17 +282,15 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return 0 if exc.code == 0 else 1
-    if "alpha" in args and args.alpha is None and not getattr(args, "state", None):
-        print("witnesskit: --alpha is required (or --state where supported)", file=sys.stderr)
-        return 1
     try:
-        return args.func(args)
-    except SolverError as exc:
+        args.func(args)
+    except (SolverError, ProjectionError) as exc:
         print(f"witnesskit: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"witnesskit: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

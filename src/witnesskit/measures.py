@@ -10,6 +10,7 @@ violation and the distance-equals-violation equality check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +69,7 @@ def hs_measure_isotropic(d: int, alpha: float) -> float:
     set: sqrt(d^2-1)/d * (alpha - 1/(d+1)); the nearest separable state is
     the isotropic state at the threshold."""
     p = IsotropicParams(d, alpha).entangled()
-    return np.sqrt(d**2 - 1) / d * (p.alpha - p.threshold)
+    return math.sqrt(d * d - 1) / d * (p.alpha - p.threshold)  # in floats: d * d may exceed int64
 
 
 def isotropic_distance(d: int, alpha: float) -> float:

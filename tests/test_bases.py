@@ -4,6 +4,7 @@ import pytest
 from witnesskit.bases import (
     ANTISYMMETRIC,
     BasisSet,
+    BlochVector,
     DIAGONAL,
     SYMMETRIC,
     bloch_compose,
@@ -12,7 +13,7 @@ from witnesskit.bases import (
     generalized_basis,
     pauli_basis,
 )
-from witnesskit.linalg import hs_inner
+from witnesskit.linalg import DimensionMismatchError, hs_inner
 from witnesskit.states import DensityMatrix, isotropic
 
 
@@ -145,6 +146,23 @@ def test_bloch_round_trip(da, db):
         rho = random_density(rng, da * db)
         v = bloch_decompose(rho, ba, bb)
         assert np.allclose(bloch_compose(v, ba, bb), rho, atol=1e-9)
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: bloch_decompose(np.eye(3) / 3, pauli_basis(), pauli_basis()),
+                 r"state dim \(3, 3\) incompatible with bases d_a=2, d_b=2", id="decompose-size"),
+    pytest.param(lambda: bloch_decompose(np.eye(4) / 4, pauli_basis(), gell_mann_basis()),
+                 r"state dim \(4, 4\) incompatible with bases d_a=2, d_b=3", id="decompose-bases"),
+    pytest.param(lambda: bloch_compose(BlochVector(np.zeros(2), np.zeros(3), np.zeros((3, 3))),
+                                       pauli_basis(), pauli_basis()),
+                 "coefficient lengths do not match", id="compose-a"),
+    pytest.param(lambda: bloch_compose(BlochVector(np.zeros(3), np.zeros(3), np.zeros((3, 8))),
+                                       pauli_basis(), pauli_basis()),
+                 "coefficient lengths do not match", id="compose-c"),
+])
+def test_bloch_rejects_mismatched_dimensions(build, match):
+    with pytest.raises(DimensionMismatchError, match=match):
+        build()
 
 
 def test_bloch_decompose_rejects_non_hermitian():

@@ -460,6 +460,25 @@ def test_input_too_large_to_allocate(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("witnesskit:")
 
 
+def test_iso_sweep_past_int64(capsys):
+    code, out, err = run_cli(capsys, "iso-sweep", "--d", str(2**40), "--alpha", "0.5")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].split(",")[-1] == "0.499999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ("iso-sweep", "--d", str(10**200), "--alpha", "0.5"),
+    ("iso-sweep", "--d", str(10**155), "--alpha", "0.5"),
+    ("bnt", "--d", str(10**155), "--alpha", "0.5"),
+    ("witness-check", "--d", str(10**155), "--alpha", "0.8"),
+])
+def test_d_past_the_float_range(capsys, argv):
+    # 1 / (d^2 - 1) overflows a float: a domain error, not a traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("witnesskit:")
+
+
 def test_projection_error_partial_row(monkeypatch, capsys):
     e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     mr = MeasureResult(0.6, ProductEnsemble([0.5, 0.5], [e0, e1], [e0, e1]), 1e-3, 7, False)

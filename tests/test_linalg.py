@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from witnesskit.linalg import (
     DimensionMismatchError,
+    as_matrix,
     hs_inner,
     hs_norm,
     partial_transpose,
@@ -77,6 +80,16 @@ def test_hs_inner_conjugate_symmetry():
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)))
+
+
+@pytest.mark.parametrize("a, shape", [
+    pytest.param(np.zeros((2, 3)), "(2, 3)", id="rectangular"),
+    pytest.param(np.zeros(4), "(4,)", id="vector"),
+    pytest.param(np.zeros((2, 2, 2)), "(2, 2, 2)", id="stack"),
+])
+def test_as_matrix_rejects_non_square(a, shape):
+    with pytest.raises(DimensionMismatchError, match=f"expected a square matrix, got shape {re.escape(shape)}"):
+        as_matrix(a)
 
 
 def test_hs_inner_dim_mismatch():

@@ -37,6 +37,13 @@ def test_hs_measure_isotropic_values():
     assert hs_measure_isotropic(2, 0.8) == pytest.approx(np.sqrt(3) / 2 * (0.8 - 1 / 3))
 
 
+def test_hs_measure_isotropic_past_int64():
+    # d^2 = 2^80 is too large for a numpy integer; the root is taken in floats
+    value = hs_measure_isotropic(2**40, 0.5)
+    assert isinstance(value, float)
+    assert value == pytest.approx(0.5 - 2.0**-40, abs=1e-15)
+
+
 def test_hs_measure_rejects_separable_regime():
     with pytest.raises(ValueError):
         hs_measure_isotropic(2, 1 / 3)
@@ -119,6 +126,11 @@ def test_bnt_check_distance_equals_violation(d, alpha):
     closed = hs_measure_isotropic(d, alpha)
     assert report.d_value == pytest.approx(closed, abs=5e-4)
     assert report.discrepancy <= 5e-4
+    # B is not independent of D: the witness at the nearest state is an affine image
+    # of the certifying oracle operator 2 (rho - target), whose minimum over product
+    # states is -gap / (2 D), so B = D - gap / (2 D) when the oracle finds that minimum
+    mr = report.measure
+    assert abs(report.b_value - (mr.distance - mr.gap_certificate / (2 * mr.distance))) <= 1e-12
 
 
 @pytest.mark.parametrize("tol_gap", [0.0, -1e-9, float("nan"), float("inf")])

@@ -19,7 +19,7 @@ from witnesskit.states import (
     max_entangled,
     twirl_invariance_check,
 )
-from witnesskit.bases import ANTISYMMETRIC, generalized_basis
+from witnesskit.bases import ANTISYMMETRIC, BasisSet, generalized_basis
 from witnesskit.linalg import hs_norm
 from witnesskit.measures import isotropic_distance
 
@@ -251,6 +251,32 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(4) / 2, 2, 2)  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex), 2, 1)  # not PSD
+
+
+def skewed_pauli_basis():
+    """sigma_x, (sigma_x + sigma_z)/sqrt 2, sigma_y: Hermitian and traceless but
+    not orthogonal, so the expansion keeps c_0 = 1 and gains a (0, 1) cross term."""
+    sx, sy, sz = generalized_basis(2).generators
+    return BasisSet(2, (sx, (sx + sz) / np.sqrt(2), sy), ("x", "xz", "y"))
+
+
+@pytest.mark.parametrize("build, error, match", [
+    pytest.param(lambda: DensityMatrix(np.eye(2) / 2, 0, 2), ValueError, "need d_a, d_b >= 1",
+                 id="density-d_a-0"),
+    pytest.param(lambda: DensityMatrix(np.eye(2) / 2, 2, -1), ValueError, "need d_a, d_b >= 1",
+                 id="density-d_b-negative"),
+    pytest.param(lambda: DensityMatrix(np.eye(3) / 3, 2, 2), ValueError, r"matrix dim 3 != d_a\*d_b = 4",
+                 id="density-size"),
+    pytest.param(lambda: IsotropicParams(1, 0.5), ValueError, "need d >= 2, got 1", id="isotropic-d-1"),
+    pytest.param(lambda: max_entangled(1), ValueError, "need d >= 2, got 1", id="max-entangled-d-1"),
+    pytest.param(lambda: gamma_signs(2, skewed_pauli_basis()), GammaFormError, r"cross term \(0,1\)",
+                 id="gamma-cross-term"),
+    pytest.param(lambda: twirl_invariance_check(DensityMatrix(np.eye(6) / 6, 2, 3), 1), ValueError,
+                 "equal subsystem dimensions", id="twirl-unequal"),
+])
+def test_states_reject_bad_input(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_density_json_round_trip():
