@@ -28,8 +28,7 @@ _EXPORTS = {
     "states": (
         "DensityMatrix", "GammaFormError", "IsotropicParams", "ProductEnsemble",
         "density_from_json", "density_to_json", "gamma_operator", "gamma_signs",
-        "is_ppt", "isotropic", "isotropic_gamma_form", "isotropic_separability",
-        "max_entangled", "twirl_invariance_check",
+        "is_ppt", "isotropic", "isotropic_gamma_form", "max_entangled", "twirl_invariance_check",
     ),
     "witness": (
         "SolverConfig", "SolverError", "WitnessReport", "chsh_max_violation",

@@ -35,7 +35,7 @@ from .measures import (
     bnt_check,
     bnt_report,
     gbi_violation,
-    isotropic_distance,
+    hs_measure_isotropic,
     nearest_separable,
 )
 from .states import (
@@ -147,7 +147,7 @@ def _target(args):
 
 
 def _result_row(d, alpha, report):
-    d_closed = None if alpha is None else isotropic_distance(d, alpha)
+    d_closed = None if alpha is None else hs_measure_isotropic(d, alpha)
     mr = report.measure
     return (
         d, alpha, d_closed, mr.distance, report.b_value, report.discrepancy,
@@ -160,7 +160,7 @@ def cmd_iso_sweep(args) -> None:
     rows = []
     for alpha in _parse_alpha_range(args.alpha):
         p = IsotropicParams(args.d, alpha)
-        rows.append((args.d, alpha, p.threshold, p.separable, isotropic_distance(args.d, alpha)))
+        rows.append((args.d, alpha, p.threshold, p.separable, hs_measure_isotropic(args.d, alpha)))
     _emit(rows, columns, args)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hs_inner, hs_norm
+from .linalg import TAU_EIG, hs_inner, hs_norm
 from .states import DensityMatrix, IsotropicParams, ProductEnsemble
 from .witness import SolverConfig, check_settings, min_over_separable, witness_candidate
 
@@ -65,16 +65,14 @@ class BntReport:
 
 
 def hs_measure_isotropic(d: int, alpha: float) -> float:
-    """Closed-form distance of an entangled isotropic state to the separable
-    set: sqrt(d^2-1)/d * (alpha - 1/(d+1)); the nearest separable state is
-    the isotropic state at the threshold."""
-    p = IsotropicParams(d, alpha).entangled()
+    """Closed-form distance of an isotropic state to the separable set:
+    sqrt(d^2-1)/d * (alpha - 1/(d+1)) above the threshold 1/(d+1), where the
+    nearest separable state is the isotropic state at the threshold, and 0
+    on or below it."""
+    p = IsotropicParams(d, alpha)
+    if p.separable:
+        return 0.0
     return math.sqrt(d * d - 1) / d * (p.alpha - p.threshold)  # in floats: d * d may exceed int64
-
-
-def isotropic_distance(d: int, alpha: float) -> float:
-    """Distance of any isotropic state to the separable set (0 if separable)."""
-    return 0.0 if IsotropicParams(d, alpha).separable else hs_measure_isotropic(d, alpha)
 
 
 def _gaps(gram: np.ndarray, lin: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -206,11 +204,12 @@ def gbi_violation(
 
 def bnt_report(target: DensityMatrix, mr: MeasureResult, cfg: SolverConfig) -> BntReport:
     """Compare the projection's distance D with the maximal Bell-inequality
-    violation B of the witness built at its nearest state.  When D^2 is
-    within the gap certificate, the certificate cannot exclude D = 0: the
+    violation B of the witness built at its nearest state.  When D is at
+    rounding level (``TAU_EIG``), as for a pure product target, or D^2 is
+    within the gap certificate, which then cannot exclude D = 0, the
     difference to the target is no witness direction, and B = 0."""
     b = 0.0
-    if mr.distance**2 > mr.gap_certificate:
+    if mr.distance > TAU_EIG and mr.distance**2 > mr.gap_certificate:
         b = gbi_violation(target, witness_candidate(mr.nearest.to_density(), target), cfg)
     return BntReport(mr.distance, b, abs(mr.distance - b), mr)
 
@@ -233,5 +232,5 @@ def infinite_d_trend(alphas, d_max: int):
     """
     if d_max < 2:
         raise ValueError(f"need d_max >= 2, got {d_max}")
-    return [(d, float(alpha), IsotropicParams(d, alpha).threshold, isotropic_distance(d, alpha))
+    return [(d, float(alpha), IsotropicParams(d, alpha).threshold, hs_measure_isotropic(d, alpha))
             for d in range(2, d_max + 1) for alpha in alphas]

@@ -66,7 +66,11 @@ class IsotropicParams:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError(f"need d >= 2, got {self.d}")
-        lo = -1.0 / (self.d**2 - 1)
+        try:
+            lo = -1.0 / (self.d**2 - 1)
+        except OverflowError:
+            raise ValueError(f"d = {self.d} is too large: d^2 must fit in a float "
+                             "(d below about 1.34e154)") from None
         if not (lo - 1e-15 <= self.alpha <= 1 + 1e-15):
             raise ValueError(
                 f"alpha = {self.alpha} outside [{lo:.6g}, 1] for d = {self.d}"
@@ -81,14 +85,6 @@ class IsotropicParams:
     def separable(self) -> bool:
         """Whether the state is separable: alpha <= 1/(d+1)."""
         return self.alpha <= self.threshold
-
-    def entangled(self) -> IsotropicParams:
-        """These parameters; ValueError if the state is separable."""
-        if self.separable:
-            raise ValueError(
-                f"alpha = {self.alpha} is in the separable regime (threshold {self.threshold:.6g})"
-            )
-        return self
 
 
 @dataclass(frozen=True)
@@ -151,11 +147,6 @@ def isotropic(d: int, alpha: float) -> DensityMatrix:
     return DensityMatrix(m, d, d)
 
 
-def isotropic_separability(d: int, alpha: float) -> str:
-    """Classify an isotropic state as "separable" or "entangled"."""
-    return "separable" if IsotropicParams(d, alpha).separable else "entangled"
-
-
 def gamma_signs(d: int, basis: BasisSet | None = None) -> np.ndarray:
     """Sign vector c with d^2 |phi+><phi+| - 1 = (d/2) sum_i c_i g^i x g^i.
 
@@ -214,6 +205,8 @@ def twirl_invariance_check(rho: DensityMatrix, trials: int, seed: int = 0) -> fl
     """
     if rho.d_a != rho.d_b:
         raise ValueError("twirl check needs equal subsystem dimensions")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

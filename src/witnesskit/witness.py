@@ -81,8 +81,9 @@ def witness_candidate(guess: DensityMatrix, target: DensityMatrix) -> np.ndarray
     ``target``; it is an entanglement witness exactly when ``guess`` is the
     nearest separable state.
     """
-    if guess.dim != target.dim:
-        raise DimensionMismatchError("guess and target dimensions differ")
+    if (guess.d_a, guess.d_b) != (target.d_a, target.d_b):
+        raise DimensionMismatchError(f"guess is {guess.d_a} x {guess.d_b} but target is "
+                                     f"{target.d_a} x {target.d_b}")
     diff = guess.matrix - target.matrix
     norm = hs_norm(diff)
     if norm <= TAU_EIG:
@@ -255,7 +256,10 @@ def optimal_witness_isotropic(d: int, alpha: float) -> np.ndarray:
     The operator itself is alpha-independent; alpha only gates the entangled
     regime alpha > 1/(d+1).
     """
-    IsotropicParams(d, alpha).entangled()
+    p = IsotropicParams(d, alpha)
+    if p.separable:
+        raise ValueError(f"alpha = {alpha} is in the separable regime "
+                         f"(threshold {p.threshold:.6g})")
     gamma = gamma_operator(d)
     pref = (d - 1) / (d * np.sqrt(d**2 - 1))
     return pref * (np.eye(d * d) - d / (2 * (d - 1)) * gamma)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from witnesskit import cli, measures
 from witnesskit.cli import RESULT_COLUMNS, _parse_alpha_range, main
 from witnesskit.measures import BntReport, MeasureResult, ProjectionConfig, ProjectionError
-from witnesskit.states import ProductEnsemble, density_to_json, isotropic
+from witnesskit.states import DensityMatrix, ProductEnsemble, density_to_json, isotropic
 from witnesskit.witness import SolverConfig, WitnessReport
 
 
@@ -152,6 +152,18 @@ def test_witness_check_state_files(tmp_path, capsys):
     assert values["d"] == "" and values["is_witness"] == "true"
 
 
+def test_witness_check_rejects_other_partition(tmp_path, capsys):
+    # 6 x 6 matrices on the same total dimension, split as 2 x 3 and as 3 x 2
+    target, guess = tmp_path / "target.json", tmp_path / "guess.json"
+    t = np.diag([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
+    target.write_text(json.dumps(density_to_json(DensityMatrix(t, 2, 3))))
+    guess.write_text(json.dumps(density_to_json(DensityMatrix(np.eye(6) / 6, 3, 2))))
+    code, out, err = run_cli(capsys, "witness-check", "--state", str(target),
+                             "--guess", str(guess), "--n-starts", "8")
+    assert code == 1 and out == ""
+    assert err == "witnesskit: guess is 3 x 2 but target is 2 x 3\n"
+
+
 def test_bnt_csv_row(capsys):
     code, out, _ = run_cli(capsys, "bnt", "--d", "2", "--alpha", "0.9", "--seed", "0")
     assert code == 0
@@ -188,6 +200,19 @@ def test_measure_state_file(tmp_path, capsys):
     assert float(values["D_numeric"]) == pytest.approx(
         np.sqrt(3) / 2 * (0.8 - 1 / 3), abs=5e-4
     )
+
+
+def test_measure_pure_product_state_file(tmp_path, capsys):
+    # |+>|0>: separable, so a success with B = 0, though D and the gap are at rounding level
+    path = tmp_path / "state.json"
+    plus_zero = np.zeros((4, 4))
+    plus_zero[np.ix_([0, 2], [0, 2])] = 0.5
+    path.write_text(json.dumps(density_to_json(DensityMatrix(plus_zero, 2, 2))))
+    code, out, err = run_cli(capsys, "measure", "--state", str(path))
+    assert code == 0 and err == ""
+    values = dict(zip(RESULT_COLUMNS, out.strip().splitlines()[1].split(",")))
+    assert float(values["D_numeric"]) <= 1e-12 and float(values["B"]) == 0.0
+    assert values["converged"] == "true"
 
 
 def test_chsh_scan(capsys):
@@ -473,10 +498,10 @@ def test_iso_sweep_past_int64(capsys):
     ("witness-check", "--d", str(10**155), "--alpha", "0.8"),
 ])
 def test_d_past_the_float_range(capsys, argv):
-    # 1 / (d^2 - 1) overflows a float: a domain error, not a traceback
+    # 1 / (d^2 - 1) overflows a float: a domain error that names d, not a traceback
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("witnesskit:")
+    assert len(err.splitlines()) == 1 and err.startswith(f"witnesskit: d = {argv[2]} is too large")
 
 
 def test_projection_error_partial_row(monkeypatch, capsys):

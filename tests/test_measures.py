@@ -15,7 +15,7 @@ from witnesskit.measures import (
     infinite_d_trend,
     nearest_separable,
 )
-from witnesskit.states import DensityMatrix, ProductEnsemble, is_ppt, isotropic
+from witnesskit.states import DensityMatrix, ProductEnsemble, haar_unitary, is_ppt, isotropic
 from witnesskit.witness import SolverConfig, min_over_separable, optimal_witness_isotropic
 
 
@@ -44,11 +44,12 @@ def test_hs_measure_isotropic_past_int64():
     assert value == pytest.approx(0.5 - 2.0**-40, abs=1e-15)
 
 
-def test_hs_measure_rejects_separable_regime():
-    with pytest.raises(ValueError):
-        hs_measure_isotropic(2, 1 / 3)
-    with pytest.raises(ValueError):
-        hs_measure_isotropic(4, 0.1)
+def test_hs_measure_zero_on_separable_side():
+    # the distance to the separable set vanishes on it, the threshold included
+    assert hs_measure_isotropic(2, 1 / 3) == 0.0
+    assert hs_measure_isotropic(4, 0.1) == 0.0
+    assert hs_measure_isotropic(3, -1 / 8) == 0.0
+    assert hs_measure_isotropic(3, np.nextafter(0.25, 1)) > 0.0
 
 
 def test_nearest_separable_qubit():
@@ -154,6 +155,17 @@ def test_bnt_report_no_witness_within_the_gap(gap):
     rep = bnt_report(isotropic(2, 0.3), mr, SolverConfig())
     assert rep.d_value == 1e-5 and rep.discrepancy == abs(1e-5 - rep.b_value)
     assert (rep.b_value == 0.0) == (gap > 1e-10)
+
+
+def test_bnt_check_pure_product_target():
+    # a pure product target is its own nearest state: D is at rounding level
+    # and the gap may round below 0, so no witness is built and B = 0
+    for d_a, d_b in [(2, 2), (2, 3), (3, 3)]:
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            psi, phi = haar_unitary(d_a, rng)[:, 0], haar_unitary(d_b, rng)[:, 0]
+            report = bnt_check(ProductEnsemble([1.0], [psi], [phi]).to_density())
+            assert report.b_value == 0.0 and report.d_value <= 1e-12
 
 
 def test_distance_upper_bounded_by_explicit_separable_state():

@@ -25,8 +25,8 @@ EXPORTS = {
                  "nearest_separable"],
     "states": ["DensityMatrix", "GammaFormError", "IsotropicParams", "ProductEnsemble",
                "density_from_json", "density_to_json", "gamma_operator", "gamma_signs",
-               "is_ppt", "isotropic", "isotropic_gamma_form", "isotropic_separability",
-               "max_entangled", "twirl_invariance_check"],
+               "is_ppt", "isotropic", "isotropic_gamma_form", "max_entangled",
+               "twirl_invariance_check"],
     "witness": ["SolverConfig", "SolverError", "WitnessReport", "chsh_max_violation",
                 "chsh_operator", "min_over_separable", "optimal_witness_isotropic",
                 "verify_nearest_separable", "witness_candidate"],
@@ -47,7 +47,7 @@ def run_python(code: str, **env_vars) -> str:
 
 def test_all_is_the_export_list():
     assert witnesskit.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(witnesskit.__all__) == 42
+    assert len(witnesskit.__all__) == 41
 
 
 @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items() for n in names])

@@ -15,13 +15,12 @@ from witnesskit.states import (
     is_ppt,
     isotropic,
     isotropic_gamma_form,
-    isotropic_separability,
     max_entangled,
     twirl_invariance_check,
 )
 from witnesskit.bases import ANTISYMMETRIC, BasisSet, generalized_basis
 from witnesskit.linalg import hs_norm
-from witnesskit.measures import isotropic_distance
+from witnesskit.measures import hs_measure_isotropic
 
 
 def test_max_entangled_d2():
@@ -75,9 +74,9 @@ def test_isotropic_alpha_out_of_range():
 
 
 def test_isotropic_separability_boundary():
-    assert isotropic_separability(2, 1 / 3) == "separable"
-    assert isotropic_separability(3, 0.3) == "entangled"
-    assert isotropic_separability(4, 0.2) == "separable"
+    assert IsotropicParams(2, 1 / 3).separable
+    assert not IsotropicParams(3, 0.3).separable
+    assert IsotropicParams(4, 0.2).separable
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -90,13 +89,7 @@ def test_isotropic_separability_readers_agree(d):
     for alpha in alphas:
         p = IsotropicParams(d, alpha)
         assert p.separable == (alpha <= threshold)
-        assert isotropic_separability(d, alpha) == ("separable" if p.separable else "entangled")
-        assert (isotropic_distance(d, alpha) == 0) == p.separable
-        if p.separable:
-            with pytest.raises(ValueError, match="separable regime"):
-                p.entangled()
-        else:
-            assert p.entangled() is p
+        assert (hs_measure_isotropic(d, alpha) == 0) == p.separable
 
 
 @pytest.mark.parametrize("d,expected", [
@@ -273,6 +266,12 @@ def skewed_pauli_basis():
                  id="gamma-cross-term"),
     pytest.param(lambda: twirl_invariance_check(DensityMatrix(np.eye(6) / 6, 2, 3), 1), ValueError,
                  "equal subsystem dimensions", id="twirl-unequal"),
+    pytest.param(lambda: twirl_invariance_check(isotropic(2, 0.0), 0), ValueError,
+                 "need trials >= 1, got 0", id="twirl-no-trials"),
+    pytest.param(lambda: twirl_invariance_check(isotropic(2, 0.0), -3), ValueError,
+                 "need trials >= 1, got -3", id="twirl-negative-trials"),
+    pytest.param(lambda: IsotropicParams(10**200, 0.5), ValueError, f"d = {10**200} is too large",
+                 id="isotropic-d-past-float-range"),
 ])
 def test_states_reject_bad_input(build, error, match):
     with pytest.raises(error, match=match):

@@ -73,6 +73,9 @@ def test_witness_candidate_degenerate_input():
 def test_witness_candidate_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         witness_candidate(isotropic(2, 0.5), isotropic(3, 0.5))
+    # equal total dimension, different partition
+    with pytest.raises(DimensionMismatchError, match="3 x 2 but target is 2 x 3"):
+        witness_candidate(DensityMatrix(np.eye(6) / 6, 3, 2), DensityMatrix(np.eye(6) / 6, 2, 3))
 
 
 def test_min_over_separable_rejects_dimension_mismatch():
