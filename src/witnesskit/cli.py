@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 # OpenBLAS reads its thread count once, when numpy loads
 if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
@@ -56,12 +56,7 @@ MAX_ALPHA_POINTS = 10**5
 DEFAULT_D = 2
 
 
-def _py(x):
-    return x.item() if isinstance(x, np.generic) else x
-
-
 def _fmt(x) -> str:
-    x = _py(x)
     if x is None:
         return ""
     if isinstance(x, bool):
@@ -97,7 +92,7 @@ def _parse_alpha_range(spec: str | None):
 
 def _emit(rows, columns, args):
     if args.format == "json":
-        payload = [dict(zip(columns, (_py(x) for x in row))) for row in rows]
+        payload = [dict(zip(columns, row)) for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [",".join(columns)]
@@ -114,16 +109,11 @@ def _write(text: str, args):
         sys.stdout.write(text)
 
 
-def _solver_config(args, base: SolverConfig = SolverConfig()) -> SolverConfig:
-    """``base`` with the solver flags that were given."""
-    flags = {"n_starts": args.n_starts, "max_iters": args.max_iters, "seed": args.seed}
-    return replace(base, **{k: v for k, v in flags.items() if v is not None})
-
-
-def _projection_config(args) -> ProjectionConfig:
-    default = ProjectionConfig()
-    tol_gap = default.tol_gap if args.tol_gap is None else args.tol_gap
-    return replace(default, tol_gap=tol_gap, solver=_solver_config(args, default.solver))
+def _config(args, base: SolverConfig) -> SolverConfig:
+    """``base`` with the settings whose flags were given; every field of
+    ``base`` is a flag of the subcommand."""
+    given = {f.name: getattr(args, f.name) for f in fields(base)}
+    return replace(base, **{k: v for k, v in given.items() if v is not None})
 
 
 def _load_state(path: str) -> DensityMatrix:
@@ -187,7 +177,7 @@ def cmd_witness_check(args) -> None:
                           else IsotropicParams(d, alpha).threshold)
     columns = ("d", "alpha", "ent_expectation", "sep_minimum", "is_witness", "is_optimal")
     try:
-        report = verify_nearest_separable(guess, target, _solver_config(args))
+        report = verify_nearest_separable(guess, target, _config(args, SolverConfig()))
     except SolverError as exc:  # partial row: the best value found, certifying nothing
         ent = hs_inner(target.matrix, witness_candidate(guess, target)).real
         _emit([(d, alpha, ent, exc.best_value, False, False)], columns, args)
@@ -198,11 +188,11 @@ def cmd_witness_check(args) -> None:
 
 def cmd_measure(args) -> None:
     target, d, alpha = _target(args)
-    cfg = _projection_config(args)
+    cfg = _config(args, ProjectionConfig())
     try:
         report = bnt_check(target, cfg)
     except ProjectionError as exc:  # partial row: the last iterate, flagged as not converged
-        _emit([_result_row(d, alpha, bnt_report(target, exc.result, cfg.solver))], RESULT_COLUMNS, args)
+        _emit([_result_row(d, alpha, bnt_report(target, exc.result, cfg))], RESULT_COLUMNS, args)
         raise
     _emit([_result_row(d, alpha, report)], RESULT_COLUMNS, args)
 
@@ -218,62 +208,49 @@ def cmd_chsh_scan(args) -> None:
     _emit(rows, columns, args)
 
 
+#: add_argument settings of every flag but --d
+FLAGS = {
+    "--alpha": dict(help="mixing parameter, single value or start:end:step"),
+    "--output": dict(help="output path (default stdout)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--n-starts": dict(type=int),
+    "--max-iters": dict(type=int),
+    "--tol-gap": dict(type=float),
+    "--seed": dict(type=int, help="RNG seed (default 0)"),
+    "--guess-alpha": dict(type=float, help="alpha of the isotropic guess state (default: threshold)"),
+    "--state": dict(help="target state JSON file"),
+    "--guess": dict(help="guess state JSON file"),
+}
+#: flags of every subcommand that takes --alpha
+_COMMON = ("--alpha", "--output", "--format")
+#: (name, help, handler, flags after --d) of each subcommand, in --help order
+SUBCOMMANDS = (
+    ("iso-sweep", "closed-form distance sweep over alpha", cmd_iso_sweep, _COMMON),
+    ("witness-check", "check a nearest-separable-state guess", cmd_witness_check,
+     _COMMON + ("--n-starts", "--max-iters", "--seed", "--guess-alpha", "--state", "--guess")),
+    ("measure", "numeric projection onto the separable set", cmd_measure,
+     _COMMON + ("--n-starts", "--max-iters", "--tol-gap", "--seed", "--state")),
+    ("bnt", "compare numeric distance with maximal GBI violation", cmd_measure,
+     _COMMON + ("--n-starts", "--max-iters", "--tol-gap", "--seed")),
+    ("gamma-signs", "sign pattern of the correlation operator", cmd_gamma_signs, ("--output", "--format")),
+    ("chsh-scan", "exact CHSH maximum over settings", cmd_chsh_scan, _COMMON),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="witnesskit",
         description="Entanglement witnesses and Hilbert-Schmidt distances for isotropic qudit states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_alpha=True):
-        p.add_argument("--d", type=int, default=DEFAULT_D, help="subsystem dimension")
-        if needs_alpha:
-            p.add_argument("--alpha", required=False,
-                           help="mixing parameter, single value or start:end:step")
-        p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    def solver(p, projection=False):
-        """Flags of the subcommands that run the product-state minimizer."""
-        p.add_argument("--n-starts", type=int, default=None)
-        p.add_argument("--max-iters", type=int, default=None)
-        if projection:
-            p.add_argument("--tol-gap", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-
-    p = sub.add_parser("iso-sweep", help="closed-form distance sweep over alpha")
-    common(p)
-    p.set_defaults(func=cmd_iso_sweep)
-
-    # the --state subcommands leave --d unset (d=None), so that _target can reject it
-    p = sub.add_parser("witness-check", help="check a nearest-separable-state guess")
-    common(p)
-    solver(p)
-    p.add_argument("--guess-alpha", type=float, default=None,
-                   help="alpha of the isotropic guess state (default: threshold)")
-    p.add_argument("--state", default=None, help="target state JSON file")
-    p.add_argument("--guess", default=None, help="guess state JSON file")
-    p.set_defaults(func=cmd_witness_check, d=None)
-
-    p = sub.add_parser("measure", help="numeric projection onto the separable set")
-    common(p)
-    solver(p, projection=True)
-    p.add_argument("--state", default=None, help="target state JSON file")
-    p.set_defaults(func=cmd_measure, d=None)
-
-    p = sub.add_parser("bnt", help="compare numeric distance with maximal GBI violation")
-    common(p)
-    solver(p, projection=True)
-    p.set_defaults(func=cmd_measure, state=None)
-
-    p = sub.add_parser("gamma-signs", help="sign pattern of the correlation operator")
-    common(p, needs_alpha=False)
-    p.set_defaults(func=cmd_gamma_signs)
-
-    p = sub.add_parser("chsh-scan", help="exact CHSH maximum over settings")
-    common(p)
-    p.set_defaults(func=cmd_chsh_scan)
-
+    for name, help_text, func, flags in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        # where --state is accepted, --d is unset (None), so that _target can reject it
+        p.add_argument("--d", type=int, default=None if "--state" in flags else DEFAULT_D,
+                       help="subsystem dimension")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func, state=None)
     return parser
 
 

@@ -11,7 +11,7 @@ violation and the distance-equals-violation equality check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +24,17 @@ MAX_OUTER_ITERS = 5000
 
 
 @dataclass(frozen=True)
-class ProjectionConfig:
-    """Settings for the Frank-Wolfe projection onto the separable set: a
-    positive finite gap tolerance and the product-state minimizer of its
-    linear subproblem, which may be lighter than the standalone default
-    because each call is warm-started."""
+class ProjectionConfig(SolverConfig):
+    """Settings for the Frank-Wolfe projection onto the separable set: those
+    of the product-state minimizer of its linear subproblem, with fewer
+    starts than the standalone default because each call is warm-started,
+    and a positive finite gap tolerance."""
 
+    n_starts: int = 8
     tol_gap: float = 1e-9
-    solver: SolverConfig = field(default_factory=lambda: SolverConfig(n_starts=8))
 
     def __post_init__(self):
+        super().__post_init__()
         check_settings(self, (), ("tol_gap",))
 
 
@@ -148,13 +149,13 @@ def nearest_separable(
         raise ValueError("projection needs a bipartite state")
 
     # initial atom: product state most aligned with the target, c = <x|target|x> = -value
-    value, (psi, phi) = min_over_separable(-target.matrix, d_a, d_b, cfg.solver)
+    value, (psi, phi) = min_over_separable(-target.matrix, d_a, d_b, cfg)
     ensemble, lin = ProductEnsemble(np.ones(1), psi[None], phi[None]), np.array([-value])
     last_phi = phi
     for it in range(1, MAX_OUTER_ITERS + 1):
         rho = ensemble.to_matrix()
         v_vals, (v_psis, v_phis) = min_over_separable(
-            2 * (rho - target.matrix), d_a, d_b, cfg.solver, (last_phi,), every_start=True
+            2 * (rho - target.matrix), d_a, d_b, cfg, (last_phi,), every_start=True
         )
         last_phi = v_phis[0]
         k = len(ensemble.weights)
@@ -220,7 +221,7 @@ def bnt_check(
     """Project ``target`` onto the separable set and compare the distance
     with the maximal violation (``bnt_report``); the two agree for a
     converged run."""
-    return bnt_report(target, nearest_separable(target, cfg), cfg.solver)
+    return bnt_report(target, nearest_separable(target, cfg), cfg)
 
 
 def infinite_d_trend(alphas, d_max: int):

@@ -5,6 +5,7 @@ as stacked arrays, and the PPT separability probe.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,6 +206,8 @@ def twirl_invariance_check(rho: DensityMatrix, trials: int, seed: int = 0) -> fl
     """
     if rho.d_a != rho.d_b:
         raise ValueError("twirl check needs equal subsystem dimensions")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)

@@ -118,17 +118,23 @@ def min_over_separable(
 
     Returns ``(value, (psi, phi))``, the value being the Rayleigh value of
     the returned unit vectors.  ``extra_starts`` may supply additional
-    initial phi vectors (e.g. warm starts).  With ``every_start`` it returns
-    the endpoints of all starts instead, sorted by value, as
-    ``(values, (psis, phis))``; row 0 is the minimizer above.  Entries so
-    large that the arithmetic overflows raise ``ValueError``.
+    initial phi vectors (e.g. warm starts), each of length d_b with a finite
+    nonzero norm.  With ``every_start`` it returns the endpoints of all
+    starts instead, sorted by value, as ``(values, (psis, phis))``; row 0 is
+    the minimizer above.  Other extra starts, and entries so large that the
+    arithmetic overflows, raise ``ValueError``.
     """
     m = require_hermitian(a)
     if m.shape[0] != d_a * d_b:
         raise DimensionMismatchError(f"operator dim {m.shape[0]} != {d_a * d_b}")
+    starts = np.asarray(extra_starts, dtype=complex)
+    with np.errstate(all="ignore"):  # a norm that is not finite is rejected below
+        norms = np.linalg.norm(starts, axis=-1)
+    if len(starts) and (starts.shape[1:] != (d_b,) or not np.all((norms > 0) & (norms < np.inf))):
+        raise ValueError(f"extra_starts must be vectors of length {d_b} with finite nonzero norm")
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            value, psi, phi = _multistart(m, d_a, d_b, cfg, extra_starts)
+            value, psi, phi = _multistart(m, d_a, d_b, cfg, starts.reshape(-1, d_b))
     except FloatingPointError as exc:
         raise ValueError(f"operator too large for the product-state solver ({exc})") from exc
     if every_start:
@@ -139,11 +145,11 @@ def min_over_separable(
 
 
 def _multistart(m, d_a, d_b, cfg, extra_starts):
-    """Endpoints ``(values, psis, phis)`` of all starts of ``min_over_separable``."""
+    """Endpoints ``(values, psis, phis)`` of all starts of ``min_over_separable``,
+    ``extra_starts`` a (k, d_b) array."""
     a4 = m.reshape(d_a, d_b, d_a, d_b)
     z = np.random.default_rng(cfg.seed).standard_normal((cfg.n_starts, 2, d_b))
-    phi = np.concatenate([np.reshape(np.asarray(extra_starts, dtype=complex), (-1, d_b)),
-                          z[:, 0] + 1j * z[:, 1]])
+    phi = np.concatenate([extra_starts, z[:, 0] + 1j * z[:, 1]])
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
     psi = np.empty((len(phi), d_a), dtype=complex)
     value = np.full(len(phi), np.inf)

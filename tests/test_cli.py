@@ -1,9 +1,12 @@
+import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from witnesskit import cli, measures
-from witnesskit.cli import RESULT_COLUMNS, _parse_alpha_range, main
+from witnesskit.cli import RESULT_COLUMNS, _parse_alpha_range, build_parser, main
 from witnesskit.measures import BntReport, MeasureResult, ProjectionConfig, ProjectionError
 from witnesskit.states import DensityMatrix, ProductEnsemble, density_to_json, isotropic
 from witnesskit.witness import SolverConfig, WitnessReport
@@ -291,7 +294,7 @@ def _setting(flag):
 
 @pytest.mark.parametrize("command", ["bnt", "measure"])
 @pytest.mark.parametrize("flag,expected", [
-    ((), ProjectionConfig().solver.n_starts),
+    ((), ProjectionConfig().n_starts),
     (("--n-starts", "1"), 1),
     (("--n-starts", "64"), 64),
     (("--max-iters", "7"), 7),
@@ -310,11 +313,7 @@ def test_projection_honours_n_starts(monkeypatch, capsys, command, flag, expecte
     monkeypatch.setattr(cli, "bnt_check", fake_bnt_check)
     code, _, _ = run_cli(capsys, command, "--d", "2", "--alpha", "0.8", *flag)
     assert code == 0
-    default = ProjectionConfig()
-    if _setting(flag) == "tol_gap":
-        assert seen == [replace(default, tol_gap=expected)]
-    else:
-        assert seen == [replace(default, solver=replace(default.solver, **{_setting(flag): expected}))]
+    assert seen == [replace(ProjectionConfig(), **{_setting(flag): expected})]
 
 
 @pytest.mark.parametrize("flag,expected", [
@@ -607,6 +606,28 @@ def workflow_examples():
         script.append(line)
     argvs = [shlex.split(line) for line in script]
     return [argv[argv.index("witnesskit.cli") + 1:] for argv in argvs if "witnesskit.cli" in argv]
+
+
+def readme_flags():
+    """Subcommand -> flags of the table under README's "Flags by subcommand:",
+    "those of `iso-sweep`" expanded."""
+    section = (ROOT / "README.md").read_text().split("\nFlags by subcommand:\n", 1)[1]
+    rows = section.strip().splitlines()[2:]  # past the header and its rule
+    table = {}
+    for row in takewhile(lambda row: row.startswith("|"), rows):
+        names, flags = row.strip("|").split("|")
+        expanded = []
+        for item in re.findall(r"`([^`]+)`", flags):
+            expanded += [item] if item.startswith("--") else table[item]
+        table.update(dict.fromkeys(re.findall(r"`([^`]+)`", names), expanded))
+    return table
+
+
+def test_readme_flag_table_is_the_parser():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+              for name, p in sub.choices.items()}
+    assert readme_flags() == parsed
 
 
 def test_readme_examples_match_the_workflow():

@@ -64,11 +64,27 @@ def test_nearest_separable_of_separable_state():
     assert res.distance <= 1e-4
 
 
-def test_nearest_separable_qutrit_recovers_threshold_state():
-    res = nearest_separable(isotropic(3, 1.0))
+def _local_unitary(d, seed):
+    """U_A (x) U_B of seeded Haar unitaries on C^d, or the identity for seed
+    None.  The separable set is invariant under it, so it maps a target's
+    nearest separable state to that of the rotated target and keeps D."""
+    if seed is None:
+        return np.eye(d * d)
+    rng = np.random.default_rng(seed)
+    return np.kron(haar_unitary(d, rng), haar_unitary(d, rng))
+
+
+# the unrotated closed-form targets and seeded local-unitary images of them
+ROTATIONS = [pytest.param(None, id="unrotated")] + [pytest.param(s, id=f"seed{s}") for s in range(3)]
+
+
+@pytest.mark.parametrize("seed", ROTATIONS)
+def test_nearest_separable_qutrit_recovers_threshold_state(seed):
+    u = _local_unitary(3, seed)
+    res = nearest_separable(DensityMatrix(u @ isotropic(3, 1.0).matrix @ u.conj().T, 3, 3))
     assert res.distance == pytest.approx(np.sqrt(2) / 2, abs=5e-4)
     nearest = res.nearest.to_density()
-    assert np.max(np.abs(nearest.matrix - isotropic(3, 0.25).matrix)) <= 1e-3
+    assert np.max(np.abs(nearest.matrix - u @ isotropic(3, 0.25).matrix @ u.conj().T)) <= 1e-3
 
 
 def test_projection_error_carries_partial_result(monkeypatch):
@@ -326,8 +342,10 @@ def test_werner_distance_closed_form():
     assert is_ppt(werner(3, 0.5)) and not is_ppt(werner(3, 0.5 + 1e-6))
 
 
-def test_nearest_separable_werner_3x3():
-    target = werner(3, 0.8)
+@pytest.mark.parametrize("seed", ROTATIONS)
+def test_nearest_separable_werner_3x3(seed):
+    u = _local_unitary(3, seed)
+    target = DensityMatrix(u @ werner(3, 0.8).matrix @ u.conj().T, 3, 3)
     res = nearest_separable(target)
     assert res.converged
     excess = res.distance**2 - werner_distance(3, 0.8) ** 2

@@ -270,6 +270,10 @@ def skewed_pauli_basis():
                  "need trials >= 1, got 0", id="twirl-no-trials"),
     pytest.param(lambda: twirl_invariance_check(isotropic(2, 0.0), -3), ValueError,
                  "need trials >= 1, got -3", id="twirl-negative-trials"),
+    pytest.param(lambda: twirl_invariance_check(isotropic(2, 0.0), 2.5), ValueError,
+                 "trials must be an integer, got 2.5", id="twirl-fractional-trials"),
+    pytest.param(lambda: twirl_invariance_check(isotropic(2, 0.0), True), ValueError,
+                 "trials must be an integer, got True", id="twirl-bool-trials"),
     pytest.param(lambda: IsotropicParams(10**200, 0.5), ValueError, f"d = {10**200} is too large",
                  id="isotropic-d-past-float-range"),
 ])

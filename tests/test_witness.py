@@ -90,6 +90,18 @@ def test_min_over_separable_rejects_huge_operator():
     assert len(str(info.value).splitlines()) == 1
 
 
+@pytest.mark.parametrize("start", [
+    pytest.param([0, 0], id="zero"),
+    pytest.param([np.nan, 1], id="nan"),
+    pytest.param([1e-200, 0], id="norm-underflows"),
+    pytest.param([1, 0, 0], id="wrong-length"),
+])
+def test_min_over_separable_rejects_bad_extra_start(start):
+    # the operator is fine: the error must name the start, not the operator
+    with pytest.raises(ValueError, match="extra_starts"):
+        min_over_separable(np.diag([1.0, 2.0, 3.0, 4.0]), 2, 2, SolverConfig(n_starts=2), [start])
+
+
 def test_min_over_separable_identity():
     value, (psi, phi) = min_over_separable(np.eye(4), 2, 2, SolverConfig(n_starts=4))
     assert value == pytest.approx(1.0)
