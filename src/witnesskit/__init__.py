@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "bases": (
-        "BasisSet", "BlochVector", "bloch_compose", "bloch_decompose",
-        "gell_mann_basis", "generalized_basis", "pauli_basis",
+        "BasisSet", "BlochVector", "bloch_compose", "bloch_decompose", "generalized_basis",
     ),
     "linalg": ("hs_inner", "hs_norm", "partial_transpose"),
     "measures": (
@@ -26,7 +25,7 @@ _EXPORTS = {
         "nearest_separable",
     ),
     "states": (
-        "DensityMatrix", "GammaFormError", "IsotropicParams", "ProductEnsemble",
+        "DensityMatrix", "IsotropicParams", "ProductEnsemble",
         "density_from_json", "density_to_json", "gamma_operator", "gamma_signs",
         "is_ppt", "isotropic", "isotropic_gamma_form", "max_entangled", "twirl_invariance_check",
     ),

@@ -1,8 +1,9 @@
-"""Operator bases for qudits: Pauli, Gell-Mann and their generalization to
-arbitrary dimension, each held as one (d^2 - 1, d, d) array, plus
-Bloch-style coefficient decompositions.
+"""Operator bases for qudits: the generalized Gell-Mann generators of
+SU(d), held as one (d^2 - 1, d, d) array, plus Bloch-style coefficient
+decompositions.  ``generalized_basis(2)`` is the Pauli set and
+``generalized_basis(3)`` the Gell-Mann set in the order lambda^1..lambda^8.
 
-All generator families satisfy Tr g^i = 0 and Tr g^i g^j = 2 delta_ij.
+The generators satisfy Tr g^i = 0 and Tr g^i g^j = 2 delta_ij.
 """
 
 from __future__ import annotations
@@ -13,11 +14,6 @@ import numpy as np
 
 from .linalg import TAU_EIG, TAU_HERM, DimensionMismatchError
 
-#: generator classes, in the order used by :func:`generalized_basis`
-SYMMETRIC = "symmetric"
-ANTISYMMETRIC = "antisymmetric"
-DIAGONAL = "diagonal"
-
 
 @dataclass(frozen=True)
 class BasisSet:
@@ -26,12 +22,11 @@ class BasisSet:
 
     d: int
     generators: np.ndarray
-    labels: tuple
 
     def __post_init__(self):
         n = self.d**2 - 1
         g = np.asarray(self.generators, dtype=complex)
-        if g.shape != (n, self.d, self.d) or len(self.labels) != n:
+        if g.shape != (n, self.d, self.d):
             raise ValueError(f"expected {n} generators of shape ({self.d}, {self.d})")
         object.__setattr__(self, "generators", g)
 
@@ -59,19 +54,9 @@ class BlochVector:
     c: np.ndarray
 
 
-def pauli_basis() -> BasisSet:
-    """The Pauli matrices sigma^x, sigma^y, sigma^z: the d = 2 generators."""
-    return generalized_basis(2)
-
-
 # For d = 3 the block ordering (symmetric, antisymmetric, diagonal) is
 # permuted into the conventional Gell-Mann order lambda^1..lambda^8.
 _GELL_MANN_PERMUTATION = (0, 3, 6, 1, 4, 2, 5, 7)
-
-
-def gell_mann_basis() -> BasisSet:
-    """The eight Gell-Mann matrices lambda^1..lambda^8."""
-    return generalized_basis(3)
 
 
 def generalized_basis(d: int) -> BasisSet:
@@ -100,11 +85,9 @@ def generalized_basis(d: int) -> BasisSet:
         m[l, l] = -l
         diag.append(np.sqrt(2 / (l * (l + 1))) * m)
     gens = sym + anti + diag
-    labels = [SYMMETRIC] * len(sym) + [ANTISYMMETRIC] * len(anti) + [DIAGONAL] * len(diag)
     if d == 3:
         gens = [gens[i] for i in _GELL_MANN_PERMUTATION]
-        labels = [labels[i] for i in _GELL_MANN_PERMUTATION]
-    basis = BasisSet(d, tuple(gens), tuple(labels))
+    basis = BasisSet(d, tuple(gens))
     basis.validate()
     return basis
 

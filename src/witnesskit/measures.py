@@ -11,6 +11,7 @@ violation and the distance-equals-violation equality check.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,7 +232,7 @@ def infinite_d_trend(alphas, d_max: int):
     the threshold; as d grows the threshold 1/(d+1) shrinks to zero and D
     approaches alpha.
     """
-    if d_max < 2:
-        raise ValueError(f"need d_max >= 2, got {d_max}")
+    if isinstance(d_max, bool) or not isinstance(d_max, numbers.Integral) or d_max < 2:
+        raise ValueError(f"d_max must be an integer >= 2, got {d_max!r}")
     return [(d, float(alpha), IsotropicParams(d, alpha).threshold, hs_measure_isotropic(d, alpha))
             for d in range(2, d_max + 1) for alpha in alphas]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisSet, bloch_decompose, generalized_basis
+from .bases import bloch_decompose, generalized_basis
 from .linalg import (
     TAU_EIG,
     TAU_HERM,
@@ -19,10 +19,6 @@ from .linalg import (
     partial_transpose,
     require_hermitian,
 )
-
-class GammaFormError(Exception):
-    """The maximally-entangled expansion is not of the claimed
-    sum_i c_i g^i x g^i form with c_i = +-1."""
 
 
 @dataclass(frozen=True)
@@ -148,36 +144,22 @@ def isotropic(d: int, alpha: float) -> DensityMatrix:
     return DensityMatrix(m, d, d)
 
 
-def gamma_signs(d: int, basis: BasisSet | None = None) -> np.ndarray:
-    """Sign vector c with d^2 |phi+><phi+| - 1 = (d/2) sum_i c_i g^i x g^i.
-
-    Computed, not assumed: the maximally entangled projector is expanded in
-    the product generator basis by :func:`~witnesskit.bases.bloch_decompose`,
-    and any cross term or non-unit coefficient raises :class:`GammaFormError`.
-    Generators that are not Hermitian give non-real coefficients, on which
-    ``bloch_decompose`` raises ``ValueError``.
-    """
-    if basis is None:
-        basis = generalized_basis(d)
+def gamma_signs(d: int) -> np.ndarray:
+    """Sign vector c with d^2 |phi+><phi+| - 1 = (d/2) sum_i c_i g^i x g^i,
+    read off the diagonal correlation block of |phi+><phi+| in the product
+    basis of :func:`~witnesskit.bases.generalized_basis`."""
     v = max_entangled(d)
+    basis = generalized_basis(d)
     # |phi+><phi+| = (1/d^2)(1 + (d/2) Gamma): its correlation block is (d/2) Gamma
-    t = bloch_decompose(np.outer(v, v.conj()), basis, basis).c * 2 / d
-    bad = np.argwhere(np.abs(np.abs(t) - np.eye(d**2 - 1)) > TAU_EIG)
-    if len(bad):
-        i, j = bad[0]
-        if i == j:
-            raise GammaFormError(f"d={d}: diagonal coefficient c_{i} = {t[i, j]:.6g} is not +-1")
-        raise GammaFormError(f"d={d}: cross term ({i},{j}) has coefficient {t[i, j]:.6g} != 0")
-    return np.sign(np.diag(t)).astype(int)
+    c = bloch_decompose(np.outer(v, v.conj()), basis, basis).c
+    return np.sign(np.diag(c)).astype(int)
 
 
 def gamma_operator(d: int) -> np.ndarray:
     """The correlation operator Gamma = sum_i c_i g^i x g^i over the
     generalized Gell-Mann generators g^i, with the signs of :func:`gamma_signs`."""
-    basis = generalized_basis(d)
-    signs = gamma_signs(d, basis)
-    g = basis.generators
-    return np.einsum("i,iab,icd->acbd", signs.astype(complex), g, g).reshape(d * d, d * d)
+    g = generalized_basis(d).generators
+    return np.einsum("i,iab,icd->acbd", gamma_signs(d).astype(complex), g, g).reshape(d * d, d * d)
 
 
 def isotropic_gamma_form(d: int, alpha: float) -> DensityMatrix:
@@ -240,6 +222,8 @@ def density_from_json(obj: dict) -> DensityMatrix:
         if not all(type(n) is int and n > 0 for n in (d_a, d_b)):
             raise TypeError(f"d_a = {d_a!r}, d_b = {d_b!r}")
         entries = [complex(re, im) for re, im in obj["entries"]]
+        if any(type(x) is bool for pair in obj["entries"] for x in pair):
+            raise TypeError("an entry is a boolean")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError("state JSON needs positive integer d_a, d_b and 'entries' as a list "
                          f"of [re, im] number pairs ({exc})") from exc

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import bloch_decompose, pauli_basis
+from .bases import bloch_decompose, generalized_basis
 from .linalg import TAU_EIG, DimensionMismatchError, hs_inner, hs_norm, require_hermitian
 from .states import DensityMatrix, IsotropicParams, gamma_operator
 
@@ -277,7 +277,7 @@ def chsh_operator(a, a_p, b, b_p) -> np.ndarray:
     v = np.array([a, a_p, b, b_p], dtype=float)
     if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1) <= TAU_EIG):
         raise ValueError("CHSH settings must be unit vectors")
-    a, a_p, b, b_p = np.tensordot(v, pauli_basis().generators, axes=1)
+    a, a_p, b, b_p = np.tensordot(v, generalized_basis(2).generators, axes=1)
     return np.kron(a, b + b_p) + np.kron(a_p, b - b_p)
 
 
@@ -289,7 +289,7 @@ def chsh_max_violation(rho: DensityMatrix) -> float:
     """
     if rho.d_a != 2 or rho.d_b != 2:
         raise DimensionMismatchError("CHSH scan requires a two-qubit state")
-    p = pauli_basis()
+    p = generalized_basis(2)
     t = bloch_decompose(rho.matrix, p, p).c  # c_ij = Tr(rho sigma^i x sigma^j) for qubits
     s = np.linalg.svd(t, compute_uv=False)  # s_i^2 are the eigenvalues of T^T T
     return float(2 * np.hypot(s[0], s[1]))

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from witnesskit.bases import gell_mann_basis, pauli_basis
+from witnesskit.bases import generalized_basis
 from witnesskit.linalg import hs_inner, hs_norm
 from witnesskit.measures import bnt_check, hs_measure_isotropic
 from witnesskit.states import (
@@ -35,12 +35,12 @@ def report(name, ok):
 
 
 def sigma_operator():
-    sx, sy, sz = pauli_basis().generators
+    sx, sy, sz = generalized_basis(2).generators
     return np.kron(sx, sx) - np.kron(sy, sy) + np.kron(sz, sz)
 
 
 def lambda_operator():
-    lam = gell_mann_basis().generators
+    lam = generalized_basis(3).generators
     signs = [1, -1, 1, 1, -1, 1, -1, 1]
     return sum(s * np.kron(g, g) for s, g in zip(signs, lam))
 

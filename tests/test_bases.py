@@ -2,42 +2,47 @@ import numpy as np
 import pytest
 
 from witnesskit.bases import (
-    ANTISYMMETRIC,
     BasisSet,
     BlochVector,
-    DIAGONAL,
-    SYMMETRIC,
     bloch_compose,
     bloch_decompose,
-    gell_mann_basis,
     generalized_basis,
-    pauli_basis,
 )
 from witnesskit.linalg import DimensionMismatchError, hs_inner
 from witnesskit.states import DensityMatrix, isotropic
 
 
+def generator_class(g):
+    """The class of a generalized Gell-Mann generator, read off its matrix."""
+    if np.array_equal(g, np.diag(np.diag(g))):
+        return "diagonal"
+    if np.array_equal(g.T, g):
+        return "symmetric"
+    assert np.array_equal(g.T, -g)
+    return "antisymmetric"
+
+
 def test_pauli_traceless_and_normalized():
-    b = pauli_basis()
+    b = generalized_basis(2)
     for g in b.generators:
         assert abs(np.trace(g)) == 0
     assert hs_inner(b.generators[2], b.generators[2]) == pytest.approx(2)
 
 
 def test_pauli_algebra():
-    sx, sy, sz = pauli_basis().generators
+    sx, sy, sz = generalized_basis(2).generators
     assert np.allclose(sx @ sy, 1j * sz)
 
 
 def test_gell_mann_entries():
-    lam = gell_mann_basis().generators
+    lam = generalized_basis(3).generators
     assert np.allclose(lam[7], np.diag([1, 1, -2]) / np.sqrt(3))
     assert lam[1][0, 1] == pytest.approx(-1j)
     assert np.allclose(lam[2], np.diag([1, -1, 0]))
 
 
 def test_gell_mann_orthogonality():
-    lam = gell_mann_basis().generators
+    lam = generalized_basis(3).generators
     for i in range(8):
         for j in range(8):
             expect = 2.0 if i == j else 0.0
@@ -52,28 +57,25 @@ def test_generalized_basis_invariants(d):
 
 
 def test_basis_set_stacks_and_rejects():
-    b = pauli_basis()
+    b = generalized_basis(2)
     assert b.generators.shape == (3, 2, 2) and b.generators.dtype == complex
-    same = BasisSet(2, tuple(b.generators), b.labels)  # a tuple of matrices is coerced
+    same = BasisSet(2, tuple(b.generators))  # a tuple of matrices is coerced
     assert np.array_equal(same.generators, b.generators)
-    for d, gens, labels in ((2, b.generators[:2], b.labels), (2, b.generators, b.labels[:2]),
-                            (2, gell_mann_basis().generators[:3], b.labels)):
+    for d, gens in ((2, b.generators[:2]), (2, generalized_basis(3).generators[:3])):
         with pytest.raises(ValueError, match="expected"):
-            BasisSet(d, gens, labels)
+            BasisSet(d, gens)
     traced = b.generators.copy()
     traced[1] += np.eye(2)
     with pytest.raises(ValueError, match="generator 1 is not traceless"):
-        BasisSet(2, traced, b.labels).validate()
+        BasisSet(2, traced).validate()
     for bad in (2 * b.generators, b.generators * np.array([1, 1, np.nan])[:, None, None]):
         with pytest.raises(ValueError, match="orthogonal"):
-            BasisSet(2, bad, b.labels).validate()
+            BasisSet(2, bad).validate()
 
 
 def test_generalized_basis_class_counts():
-    b = generalized_basis(4)
-    assert b.labels.count(SYMMETRIC) == 6
-    assert b.labels.count(ANTISYMMETRIC) == 6
-    assert b.labels.count(DIAGONAL) == 3
+    classes = [generator_class(g) for g in generalized_basis(4).generators]
+    assert classes == ["symmetric"] * 6 + ["antisymmetric"] * 6 + ["diagonal"] * 3
 
 
 def test_generalized_reduces_to_pauli():
@@ -83,15 +85,18 @@ def test_generalized_reduces_to_pauli():
     b = generalized_basis(2)
     for g, p in zip(b.generators, (sx, sy, sz)):
         assert np.array_equal(g, p)
-    assert b.labels == (SYMMETRIC, ANTISYMMETRIC, DIAGONAL)
+    assert [generator_class(g) for g in b.generators] == ["symmetric", "antisymmetric", "diagonal"]
 
 
 def test_generalized_reduces_to_gell_mann():
     # d = 3 is permuted into the conventional lambda^1..lambda^8 order
-    lam = gell_mann_basis().generators
+    lam = generalized_basis(3).generators
     assert np.allclose(lam[0], np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
     assert np.allclose(lam[5], np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]))
     assert np.allclose(lam[6], np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]]))
+    assert [generator_class(g) for g in lam] == [
+        "symmetric", "antisymmetric", "diagonal", "symmetric", "antisymmetric",
+        "symmetric", "antisymmetric", "diagonal"]
 
 
 def test_generalized_basis_rejects_small_d():
@@ -100,7 +105,7 @@ def test_generalized_basis_rejects_small_d():
 
 
 def test_bloch_decompose_maximally_mixed():
-    b = pauli_basis()
+    b = generalized_basis(2)
     v = bloch_decompose(np.eye(4) / 4, b, b)
     assert np.allclose(v.a, 0)
     assert np.allclose(v.b, 0)
@@ -108,7 +113,7 @@ def test_bloch_decompose_maximally_mixed():
 
 
 def test_bloch_decompose_isotropic_qubit():
-    b = pauli_basis()
+    b = generalized_basis(2)
     alpha = 0.7
     v = bloch_decompose(isotropic(2, alpha).matrix, b, b)
     assert np.allclose(v.a, 0, atol=1e-12)
@@ -117,7 +122,7 @@ def test_bloch_decompose_isotropic_qubit():
 
 
 def test_bloch_decompose_isotropic_qutrit():
-    b = gell_mann_basis()
+    b = generalized_basis(3)
     alpha = 0.5
     v = bloch_decompose(isotropic(3, alpha).matrix, b, b)
     signs = np.array([1, -1, 1, 1, -1, 1, -1, 1])
@@ -125,7 +130,7 @@ def test_bloch_decompose_isotropic_qutrit():
 
 
 def test_bloch_compose_zero_vector():
-    b = gell_mann_basis()
+    b = generalized_basis(3)
     from witnesskit.bases import BlochVector
 
     v = BlochVector(np.zeros(8), np.zeros(8), np.zeros((8, 8)))
@@ -149,15 +154,15 @@ def test_bloch_round_trip(da, db):
 
 
 @pytest.mark.parametrize("build, match", [
-    pytest.param(lambda: bloch_decompose(np.eye(3) / 3, pauli_basis(), pauli_basis()),
+    pytest.param(lambda: bloch_decompose(np.eye(3) / 3, generalized_basis(2), generalized_basis(2)),
                  r"state dim \(3, 3\) incompatible with bases d_a=2, d_b=2", id="decompose-size"),
-    pytest.param(lambda: bloch_decompose(np.eye(4) / 4, pauli_basis(), gell_mann_basis()),
+    pytest.param(lambda: bloch_decompose(np.eye(4) / 4, generalized_basis(2), generalized_basis(3)),
                  r"state dim \(4, 4\) incompatible with bases d_a=2, d_b=3", id="decompose-bases"),
     pytest.param(lambda: bloch_compose(BlochVector(np.zeros(2), np.zeros(3), np.zeros((3, 3))),
-                                       pauli_basis(), pauli_basis()),
+                                       generalized_basis(2), generalized_basis(2)),
                  "coefficient lengths do not match", id="compose-a"),
     pytest.param(lambda: bloch_compose(BlochVector(np.zeros(3), np.zeros(3), np.zeros((3, 8))),
-                                       pauli_basis(), pauli_basis()),
+                                       generalized_basis(2), generalized_basis(2)),
                  "coefficient lengths do not match", id="compose-c"),
 ])
 def test_bloch_rejects_mismatched_dimensions(build, match):
@@ -166,7 +171,7 @@ def test_bloch_rejects_mismatched_dimensions(build, match):
 
 
 def test_bloch_decompose_rejects_non_hermitian():
-    b = pauli_basis()
+    b = generalized_basis(2)
     m = np.eye(4, dtype=complex) / 4
     m[0, 1] = 0.3
     with pytest.raises(ValueError):

@@ -11,11 +11,11 @@ from witnesskit.linalg import (
     partial_transpose,
     require_hermitian,
 )
-from witnesskit.bases import pauli_basis
+from witnesskit.bases import generalized_basis
 from witnesskit.states import DensityMatrix, max_entangled
 from witnesskit.witness import min_over_separable
 
-SX, SY, SZ = pauli_basis().generators
+SX, SY, SZ = generalized_basis(2).generators
 
 
 def random_hermitian(rng, d):

@@ -375,3 +375,9 @@ def test_infinite_d_trend_separable_entries_zero():
 def test_infinite_d_trend_rejects_small_dmax():
     with pytest.raises(ValueError):
         infinite_d_trend([0.5], 1)
+
+
+@pytest.mark.parametrize("d_max", [3.0, 2.5, True, "3"])
+def test_infinite_d_trend_rejects_non_integer_dmax(d_max):
+    with pytest.raises(ValueError, match=f"d_max must be an integer >= 2, got {d_max!r}"):
+        infinite_d_trend([0.5], d_max)

@@ -5,7 +5,6 @@ import pytest
 
 from witnesskit.states import (
     DensityMatrix,
-    GammaFormError,
     IsotropicParams,
     ProductEnsemble,
     density_from_json,
@@ -18,7 +17,7 @@ from witnesskit.states import (
     max_entangled,
     twirl_invariance_check,
 )
-from witnesskit.bases import ANTISYMMETRIC, BasisSet, generalized_basis
+from witnesskit.bases import bloch_decompose, generalized_basis
 from witnesskit.linalg import hs_norm
 from witnesskit.measures import hs_measure_isotropic
 
@@ -102,26 +101,20 @@ def test_gamma_signs_printed_patterns(d, expected):
 
 def test_gamma_signs_minus_on_antisymmetric():
     for d in (4, 5, 12):
-        basis = generalized_basis(d)
-        signs = gamma_signs(d, basis)
-        for s, label in zip(signs, basis.labels):
-            assert (s == -1) == (label == ANTISYMMETRIC)
+        antisymmetric = [np.array_equal(g.T, -g) for g in generalized_basis(d).generators]
+        assert ((gamma_signs(d) == -1) == antisymmetric).all()
 
 
-def test_gamma_signs_reports_bad_basis():
-    # mixing a symmetric with an antisymmetric generator (whose expansion
-    # signs differ) turns the diagonal form into cross terms
-    basis = generalized_basis(2)
-    gens = list(basis.generators)
-    gens[0], gens[1] = (
-        (gens[0] + gens[1]) / np.sqrt(2),
-        (gens[0] - gens[1]) / np.sqrt(2),
-    )
-    from witnesskit.bases import BasisSet
-
-    rotated = BasisSet(2, tuple(gens), basis.labels)
-    with pytest.raises(GammaFormError):
-        gamma_signs(2, rotated)
+@pytest.mark.parametrize("d", [*range(2, 9), 12])
+def test_gamma_correlation_block_is_signed_identity(d):
+    # gamma_signs reads only the diagonal: the block must have no cross terms,
+    # unit entries, and -1 exactly on the antisymmetric generators
+    basis = generalized_basis(d)
+    v = max_entangled(d)
+    t = bloch_decompose(np.outer(v, v.conj()), basis, basis).c * 2 / d
+    assert np.allclose(t, np.diag(np.diag(t)), rtol=0, atol=1e-12)
+    antisymmetric = np.array([np.array_equal(g.T, -g) for g in basis.generators])
+    assert np.allclose(np.diag(t), np.where(antisymmetric, -1, 1), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -246,13 +239,6 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex), 2, 1)  # not PSD
 
 
-def skewed_pauli_basis():
-    """sigma_x, (sigma_x + sigma_z)/sqrt 2, sigma_y: Hermitian and traceless but
-    not orthogonal, so the expansion keeps c_0 = 1 and gains a (0, 1) cross term."""
-    sx, sy, sz = generalized_basis(2).generators
-    return BasisSet(2, (sx, (sx + sz) / np.sqrt(2), sy), ("x", "xz", "y"))
-
-
 @pytest.mark.parametrize("build, error, match", [
     pytest.param(lambda: DensityMatrix(np.eye(2) / 2, 0, 2), ValueError, "need d_a, d_b >= 1",
                  id="density-d_a-0"),
@@ -262,8 +248,6 @@ def skewed_pauli_basis():
                  id="density-size"),
     pytest.param(lambda: IsotropicParams(1, 0.5), ValueError, "need d >= 2, got 1", id="isotropic-d-1"),
     pytest.param(lambda: max_entangled(1), ValueError, "need d >= 2, got 1", id="max-entangled-d-1"),
-    pytest.param(lambda: gamma_signs(2, skewed_pauli_basis()), GammaFormError, r"cross term \(0,1\)",
-                 id="gamma-cross-term"),
     pytest.param(lambda: twirl_invariance_check(DensityMatrix(np.eye(6) / 6, 2, 3), 1), ValueError,
                  "equal subsystem dimensions", id="twirl-unequal"),
     pytest.param(lambda: twirl_invariance_check(isotropic(2, 0.0), 0), ValueError,
@@ -300,9 +284,10 @@ def test_density_json_round_trip():
     [["0.25", "0"]] * 16,
     [[0.25, None]] * 16,
     [[10**400, 0.0]] + [[0.0, 0.0]] * 15,  # overflows a float
+    [[True, False]] + [[0.0, 0.0]] * 15,  # JSON booleans are not numbers
 ])
 def test_density_from_json_rejects_malformed_entries(entries):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\[re, im\] number pairs"):
         density_from_json({"d_a": 2, "d_b": 2, "entries": entries})
 
 
