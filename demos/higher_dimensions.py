@@ -26,7 +26,7 @@ for d in range(2, 7):
     print(f"d={d}:  {pattern}")
 
 # minus exactly on the antisymmetric generators
-anti = [np.array_equal(g.T, -g) for g in generalized_basis(5).generators]
+anti = [np.array_equal(g.T, -g) for g in generalized_basis(5)]
 minus = [s == -1 for s in gamma_signs(5)]
 print(f"\nd=5: minus signs coincide with antisymmetric generators: {anti == minus}")
 

@@ -1,7 +1,9 @@
 """Operator bases for qudits: the generalized Gell-Mann generators of
-SU(d), held as one (d^2 - 1, d, d) array, plus Bloch-style coefficient
-decompositions.  ``generalized_basis(2)`` is the Pauli set and
-``generalized_basis(3)`` the Gell-Mann set in the order lambda^1..lambda^8.
+SU(d), which ``generalized_basis(d)`` returns as one (d^2 - 1, d, d) array,
+and Bloch-style coefficient decompositions.  ``generalized_basis(2)`` is the
+Pauli set and ``generalized_basis(3)`` the Gell-Mann set in the order
+lambda^1..lambda^8.  ``bloch_decompose(rho, d_a, d_b)`` and ``bloch_compose``
+take the subsystem dimensions and build both bases themselves.
 
 The generators satisfy Tr g^i = 0 and Tr g^i g^j = 2 delta_ij.
 """
@@ -12,33 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TAU_EIG, TAU_HERM, DimensionMismatchError
-
-
-@dataclass(frozen=True)
-class BasisSet:
-    """Ordered family of d^2 - 1 traceless orthogonal Hermitian generators,
-    stacked as a (d^2 - 1, d, d) array; a sequence of matrices is coerced."""
-
-    d: int
-    generators: np.ndarray
-
-    def __post_init__(self):
-        n = self.d**2 - 1
-        g = np.asarray(self.generators, dtype=complex)
-        if g.shape != (n, self.d, self.d):
-            raise ValueError(f"expected {n} generators of shape ({self.d}, {self.d})")
-        object.__setattr__(self, "generators", g)
-
-    def validate(self):
-        """Check tracelessness and Tr g^i g^j = 2 delta_ij."""
-        g = self.generators
-        bad = np.flatnonzero(np.abs(np.einsum("iaa->i", g)) > TAU_HERM)
-        if len(bad):
-            raise ValueError(f"generator {bad[0]} is not traceless")
-        gram = np.einsum("iab,jab->ij", g.conj(), g, optimize=True).real
-        if not np.max(np.abs(gram - 2 * np.eye(len(g)))) <= TAU_EIG:  # NaN fails too
-            raise ValueError("generators are not orthogonal with Tr g^i g^j = 2 delta_ij")
+from .linalg import TAU_HERM, DimensionMismatchError, require_integer
 
 
 @dataclass(frozen=True)
@@ -59,16 +35,16 @@ class BlochVector:
 _GELL_MANN_PERMUTATION = (0, 3, 6, 1, 4, 2, 5, 7)
 
 
-def generalized_basis(d: int) -> BasisSet:
-    """Generalized Gell-Mann generators for dimension ``d``.
+def generalized_basis(d: int) -> np.ndarray:
+    """Generalized Gell-Mann generators for dimension ``d``, as one
+    (d^2 - 1, d, d) complex array.
 
     Ordering: d(d-1)/2 symmetric pair matrices in lexicographic (j, k) order,
     then the antisymmetric pairs, then d-1 diagonal matrices -- except d = 3,
     which is permuted to the conventional Gell-Mann order.  Reduces to the
     Pauli set for d = 2.
     """
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    require_integer("d", d, 2)
     sym, anti, diag = [], [], []
     for j in range(d):
         for k in range(j + 1, d):
@@ -87,32 +63,29 @@ def generalized_basis(d: int) -> BasisSet:
     gens = sym + anti + diag
     if d == 3:
         gens = [gens[i] for i in _GELL_MANN_PERMUTATION]
-    basis = BasisSet(d, tuple(gens))
-    basis.validate()
-    return basis
+    return np.array(gens)
 
 
-def bloch_decompose(rho: np.ndarray, basis_a: BasisSet, basis_b: BasisSet) -> BlochVector:
-    """Expand a bipartite operator, given as a matrix, in the product
-    generator basis.
+def bloch_decompose(rho: np.ndarray, d_a: int, d_b: int) -> BlochVector:
+    """Expand a bipartite operator on C^d_a (x) C^d_b, given as a matrix, in
+    the product basis of :func:`generalized_basis` generators.
 
     Normalization: a_i = (d_a/2) Tr(rho g^i x 1), b_i = (d_b/2) Tr(rho 1 x g^i),
     c_ij = (d_a d_b / 4) Tr(rho g^i x g^j), the exact inverse of
     :func:`bloch_compose`.  Coefficients with a non-negligible imaginary part
     signal a non-Hermitian input and raise.
     """
+    ga, gb = generalized_basis(d_a), generalized_basis(d_b)
     rho = np.asarray(rho, dtype=complex)
-    da, db = basis_a.d, basis_b.d
-    if rho.shape != (da * db, da * db):
+    if rho.shape != (d_a * d_b, d_a * d_b):
         raise DimensionMismatchError(
-            f"state dim {rho.shape} incompatible with bases d_a={da}, d_b={db}"
+            f"state dim {rho.shape} incompatible with bases d_a={d_a}, d_b={d_b}"
         )
-    r4 = rho.reshape(da, db, da, db)
-    ga, gb = basis_a.generators, basis_b.generators
+    r4 = rho.reshape(d_a, d_b, d_a, d_b)
     # Tr(rho g^i x 1) = sum_{a,b,c} rho[(a,c),(b,c)] g[b,a]
-    a = (da / 2) * np.einsum("acbc,iba->i", r4, ga)
-    b = (db / 2) * np.einsum("acad,jdc->j", r4, gb)
-    c = (da * db / 4) * np.einsum("acbd,iba,jdc->ij", r4, ga, gb, optimize=True)
+    a = (d_a / 2) * np.einsum("acbc,iba->i", r4, ga)
+    b = (d_b / 2) * np.einsum("acad,jdc->j", r4, gb)
+    c = (d_a * d_b / 4) * np.einsum("acbd,iba,jdc->ij", r4, ga, gb, optimize=True)
     for name, arr in (("a", a), ("b", b), ("c", c)):
         if np.max(np.abs(arr.imag)) > TAU_HERM:
             raise ValueError(
@@ -121,15 +94,14 @@ def bloch_decompose(rho: np.ndarray, basis_a: BasisSet, basis_b: BasisSet) -> Bl
     return BlochVector(a.real, b.real, c.real)
 
 
-def bloch_compose(v: BlochVector, basis_a: BasisSet, basis_b: BasisSet) -> np.ndarray:
+def bloch_compose(v: BlochVector, d_a: int, d_b: int) -> np.ndarray:
     """Rebuild the matrix from its Bloch coefficients (inverse of decompose)."""
-    da, db = basis_a.d, basis_b.d
-    n_a, n_b = da**2 - 1, db**2 - 1
+    ga, gb = generalized_basis(d_a), generalized_basis(d_b)
+    n_a, n_b = len(ga), len(gb)
     if v.a.shape != (n_a,) or v.b.shape != (n_b,) or v.c.shape != (n_a, n_b):
         raise DimensionMismatchError("Bloch coefficient lengths do not match the bases")
-    ga, gb = basis_a.generators, basis_b.generators
-    r4 = np.einsum("ab,cd->acbd", np.eye(da, dtype=complex), np.eye(db, dtype=complex))
-    r4 = r4 + np.einsum("i,iab,cd->acbd", v.a, ga, np.eye(db))
-    r4 = r4 + np.einsum("j,ab,jcd->acbd", v.b, np.eye(da), gb)
+    r4 = np.einsum("ab,cd->acbd", np.eye(d_a, dtype=complex), np.eye(d_b, dtype=complex))
+    r4 = r4 + np.einsum("i,iab,cd->acbd", v.a, ga, np.eye(d_b))
+    r4 = r4 + np.einsum("j,ab,jcd->acbd", v.b, np.eye(d_a), gb)
     r4 = r4 + np.einsum("ij,iab,jcd->acbd", v.c, ga, gb)
-    return r4.reshape(da * db, da * db) / (da * db)
+    return r4.reshape(d_a * d_b, d_a * d_b) / (d_a * d_b)

@@ -1,5 +1,5 @@
 """Dense complex-matrix kernel: Hilbert-Schmidt geometry, the Hermiticity
-check and partial transposition.
+and integer checks and partial transposition.
 
 Everything downstream (bases, states, witnesses, measures) is built on the
 handful of primitives in this module.  Matrices are plain square complex
@@ -7,6 +7,8 @@ handful of primitives in this module.  Matrices are plain square complex
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -28,6 +30,14 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def require_integer(name: str, value, low: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (a bool is not) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"need {name} >= {low}, got {value}")
 
 
 def require_hermitian(a) -> np.ndarray:

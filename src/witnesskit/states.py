@@ -5,7 +5,6 @@ as stacked arrays, and the PPT separability probe.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,7 @@ from .linalg import (
     hs_norm,
     partial_transpose,
     require_hermitian,
+    require_integer,
 )
 
 
@@ -31,8 +31,8 @@ class DensityMatrix:
     d_b: int
 
     def __post_init__(self):
-        if self.d_a < 1 or self.d_b < 1:
-            raise ValueError(f"need d_a, d_b >= 1, got d_a = {self.d_a}, d_b = {self.d_b}")
+        require_integer("d_a", self.d_a, 1)
+        require_integer("d_b", self.d_b, 1)
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail as inf or nan
             m = require_hermitian(self.matrix)
             tr = np.trace(m)
@@ -61,8 +61,7 @@ class IsotropicParams:
     alpha: float
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"need d >= 2, got {self.d}")
+        require_integer("d", self.d, 2)
         try:
             lo = -1.0 / (self.d**2 - 1)
         except OverflowError:
@@ -128,8 +127,7 @@ class ProductEnsemble:
 
 def max_entangled(d: int) -> np.ndarray:
     """The maximally entangled vector (1/sqrt(d)) sum_i |i>|i> in C^(d^2)."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    require_integer("d", d, 2)
     v = np.zeros(d * d, dtype=complex)
     v[np.arange(d) * d + np.arange(d)] = 1 / np.sqrt(d)
     return v
@@ -149,16 +147,15 @@ def gamma_signs(d: int) -> np.ndarray:
     read off the diagonal correlation block of |phi+><phi+| in the product
     basis of :func:`~witnesskit.bases.generalized_basis`."""
     v = max_entangled(d)
-    basis = generalized_basis(d)
     # |phi+><phi+| = (1/d^2)(1 + (d/2) Gamma): its correlation block is (d/2) Gamma
-    c = bloch_decompose(np.outer(v, v.conj()), basis, basis).c
+    c = bloch_decompose(np.outer(v, v.conj()), d, d).c
     return np.sign(np.diag(c)).astype(int)
 
 
 def gamma_operator(d: int) -> np.ndarray:
     """The correlation operator Gamma = sum_i c_i g^i x g^i over the
     generalized Gell-Mann generators g^i, with the signs of :func:`gamma_signs`."""
-    g = generalized_basis(d).generators
+    g = generalized_basis(d)
     return np.einsum("i,iab,icd->acbd", gamma_signs(d).astype(complex), g, g).reshape(d * d, d * d)
 
 
@@ -188,10 +185,7 @@ def twirl_invariance_check(rho: DensityMatrix, trials: int, seed: int = 0) -> fl
     """
     if rho.d_a != rho.d_b:
         raise ValueError("twirl check needs equal subsystem dimensions")
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+    require_integer("trials", trials, 1)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

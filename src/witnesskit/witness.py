@@ -277,7 +277,7 @@ def chsh_operator(a, a_p, b, b_p) -> np.ndarray:
     v = np.array([a, a_p, b, b_p], dtype=float)
     if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1) <= TAU_EIG):
         raise ValueError("CHSH settings must be unit vectors")
-    a, a_p, b, b_p = np.tensordot(v, generalized_basis(2).generators, axes=1)
+    a, a_p, b, b_p = np.tensordot(v, generalized_basis(2), axes=1)
     return np.kron(a, b + b_p) + np.kron(a_p, b - b_p)
 
 
@@ -289,7 +289,6 @@ def chsh_max_violation(rho: DensityMatrix) -> float:
     """
     if rho.d_a != 2 or rho.d_b != 2:
         raise DimensionMismatchError("CHSH scan requires a two-qubit state")
-    p = generalized_basis(2)
-    t = bloch_decompose(rho.matrix, p, p).c  # c_ij = Tr(rho sigma^i x sigma^j) for qubits
+    t = bloch_decompose(rho.matrix, 2, 2).c  # c_ij = Tr(rho sigma^i x sigma^j) for qubits
     s = np.linalg.svd(t, compute_uv=False)  # s_i^2 are the eigenvalues of T^T T
     return float(2 * np.hypot(s[0], s[1]))

@@ -35,12 +35,12 @@ def report(name, ok):
 
 
 def sigma_operator():
-    sx, sy, sz = generalized_basis(2).generators
+    sx, sy, sz = generalized_basis(2)
     return np.kron(sx, sx) - np.kron(sy, sy) + np.kron(sz, sz)
 
 
 def lambda_operator():
-    lam = generalized_basis(3).generators
+    lam = generalized_basis(3)
     signs = [1, -1, 1, 1, -1, 1, -1, 1]
     return sum(s * np.kron(g, g) for s, g in zip(signs, lam))
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from witnesskit.bases import (
-    BasisSet,
     BlochVector,
     bloch_compose,
     bloch_decompose,
@@ -24,25 +23,25 @@ def generator_class(g):
 
 def test_pauli_traceless_and_normalized():
     b = generalized_basis(2)
-    for g in b.generators:
+    for g in b:
         assert abs(np.trace(g)) == 0
-    assert hs_inner(b.generators[2], b.generators[2]) == pytest.approx(2)
+    assert hs_inner(b[2], b[2]) == pytest.approx(2)
 
 
 def test_pauli_algebra():
-    sx, sy, sz = generalized_basis(2).generators
+    sx, sy, sz = generalized_basis(2)
     assert np.allclose(sx @ sy, 1j * sz)
 
 
 def test_gell_mann_entries():
-    lam = generalized_basis(3).generators
+    lam = generalized_basis(3)
     assert np.allclose(lam[7], np.diag([1, 1, -2]) / np.sqrt(3))
     assert lam[1][0, 1] == pytest.approx(-1j)
     assert np.allclose(lam[2], np.diag([1, -1, 0]))
 
 
 def test_gell_mann_orthogonality():
-    lam = generalized_basis(3).generators
+    lam = generalized_basis(3)
     for i in range(8):
         for j in range(8):
             expect = 2.0 if i == j else 0.0
@@ -51,30 +50,16 @@ def test_gell_mann_orthogonality():
 
 @pytest.mark.parametrize("d", range(2, 10))
 def test_generalized_basis_invariants(d):
-    b = generalized_basis(d)
-    assert len(b.generators) == d**2 - 1
-    b.validate()
-
-
-def test_basis_set_stacks_and_rejects():
-    b = generalized_basis(2)
-    assert b.generators.shape == (3, 2, 2) and b.generators.dtype == complex
-    same = BasisSet(2, tuple(b.generators))  # a tuple of matrices is coerced
-    assert np.array_equal(same.generators, b.generators)
-    for d, gens in ((2, b.generators[:2]), (2, generalized_basis(3).generators[:3])):
-        with pytest.raises(ValueError, match="expected"):
-            BasisSet(d, gens)
-    traced = b.generators.copy()
-    traced[1] += np.eye(2)
-    with pytest.raises(ValueError, match="generator 1 is not traceless"):
-        BasisSet(2, traced).validate()
-    for bad in (2 * b.generators, b.generators * np.array([1, 1, np.nan])[:, None, None]):
-        with pytest.raises(ValueError, match="orthogonal"):
-            BasisSet(2, bad).validate()
+    # traceless and orthogonal with Tr g^i g^j = 2 delta_ij, stacked as one complex array
+    g = generalized_basis(d)
+    assert g.shape == (d**2 - 1, d, d) and g.dtype == complex
+    assert np.allclose(np.einsum("iaa->i", g), 0, rtol=0, atol=1e-12)
+    gram = np.einsum("iab,jba->ij", g, g)  # Tr(g^i g^j)
+    assert np.allclose(gram, 2 * np.eye(d**2 - 1), rtol=0, atol=1e-12)
 
 
 def test_generalized_basis_class_counts():
-    classes = [generator_class(g) for g in generalized_basis(4).generators]
+    classes = [generator_class(g) for g in generalized_basis(4)]
     assert classes == ["symmetric"] * 6 + ["antisymmetric"] * 6 + ["diagonal"] * 3
 
 
@@ -83,14 +68,14 @@ def test_generalized_reduces_to_pauli():
     sy = np.array([[0, -1j], [1j, 0]])
     sz = np.array([[1, 0], [0, -1]])
     b = generalized_basis(2)
-    for g, p in zip(b.generators, (sx, sy, sz)):
+    for g, p in zip(b, (sx, sy, sz)):
         assert np.array_equal(g, p)
-    assert [generator_class(g) for g in b.generators] == ["symmetric", "antisymmetric", "diagonal"]
+    assert [generator_class(g) for g in b] == ["symmetric", "antisymmetric", "diagonal"]
 
 
 def test_generalized_reduces_to_gell_mann():
     # d = 3 is permuted into the conventional lambda^1..lambda^8 order
-    lam = generalized_basis(3).generators
+    lam = generalized_basis(3)
     assert np.allclose(lam[0], np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
     assert np.allclose(lam[5], np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]))
     assert np.allclose(lam[6], np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]]))
@@ -104,37 +89,38 @@ def test_generalized_basis_rejects_small_d():
         generalized_basis(1)
 
 
+@pytest.mark.parametrize("d_a", [2.0, 2.5, True])
+def test_bloch_rejects_non_integer_dimensions(d_a):
+    # the dimensions go straight into generalized_basis
+    with pytest.raises(ValueError, match=f"d must be an integer, got {d_a!r}"):
+        bloch_decompose(np.eye(4) / 4, d_a, 2)
+
+
 def test_bloch_decompose_maximally_mixed():
-    b = generalized_basis(2)
-    v = bloch_decompose(np.eye(4) / 4, b, b)
+    v = bloch_decompose(np.eye(4) / 4, 2, 2)
     assert np.allclose(v.a, 0)
     assert np.allclose(v.b, 0)
     assert np.allclose(v.c, 0)
 
 
 def test_bloch_decompose_isotropic_qubit():
-    b = generalized_basis(2)
     alpha = 0.7
-    v = bloch_decompose(isotropic(2, alpha).matrix, b, b)
+    v = bloch_decompose(isotropic(2, alpha).matrix, 2, 2)
     assert np.allclose(v.a, 0, atol=1e-12)
     assert np.allclose(v.b, 0, atol=1e-12)
     assert np.allclose(v.c, alpha * np.diag([1, -1, 1]), atol=1e-12)
 
 
 def test_bloch_decompose_isotropic_qutrit():
-    b = generalized_basis(3)
     alpha = 0.5
-    v = bloch_decompose(isotropic(3, alpha).matrix, b, b)
+    v = bloch_decompose(isotropic(3, alpha).matrix, 3, 3)
     signs = np.array([1, -1, 1, 1, -1, 1, -1, 1])
     assert np.allclose(v.c, (3 * alpha / 2) * np.diag(signs), atol=1e-12)
 
 
 def test_bloch_compose_zero_vector():
-    b = generalized_basis(3)
-    from witnesskit.bases import BlochVector
-
     v = BlochVector(np.zeros(8), np.zeros(8), np.zeros((8, 8)))
-    assert np.allclose(bloch_compose(v, b, b), np.eye(9) / 9)
+    assert np.allclose(bloch_compose(v, 3, 3), np.eye(9) / 9)
 
 
 def random_density(rng, d):
@@ -145,24 +131,21 @@ def random_density(rng, d):
 
 @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
 def test_bloch_round_trip(da, db):
-    ba, bb = generalized_basis(da), generalized_basis(db)
     rng = np.random.default_rng(11)
     for _ in range(50):
         rho = random_density(rng, da * db)
-        v = bloch_decompose(rho, ba, bb)
-        assert np.allclose(bloch_compose(v, ba, bb), rho, atol=1e-9)
+        v = bloch_decompose(rho, da, db)
+        assert np.allclose(bloch_compose(v, da, db), rho, atol=1e-9)
 
 
 @pytest.mark.parametrize("build, match", [
-    pytest.param(lambda: bloch_decompose(np.eye(3) / 3, generalized_basis(2), generalized_basis(2)),
+    pytest.param(lambda: bloch_decompose(np.eye(3) / 3, 2, 2),
                  r"state dim \(3, 3\) incompatible with bases d_a=2, d_b=2", id="decompose-size"),
-    pytest.param(lambda: bloch_decompose(np.eye(4) / 4, generalized_basis(2), generalized_basis(3)),
+    pytest.param(lambda: bloch_decompose(np.eye(4) / 4, 2, 3),
                  r"state dim \(4, 4\) incompatible with bases d_a=2, d_b=3", id="decompose-bases"),
-    pytest.param(lambda: bloch_compose(BlochVector(np.zeros(2), np.zeros(3), np.zeros((3, 3))),
-                                       generalized_basis(2), generalized_basis(2)),
+    pytest.param(lambda: bloch_compose(BlochVector(np.zeros(2), np.zeros(3), np.zeros((3, 3))), 2, 2),
                  "coefficient lengths do not match", id="compose-a"),
-    pytest.param(lambda: bloch_compose(BlochVector(np.zeros(3), np.zeros(3), np.zeros((3, 8))),
-                                       generalized_basis(2), generalized_basis(2)),
+    pytest.param(lambda: bloch_compose(BlochVector(np.zeros(3), np.zeros(3), np.zeros((3, 8))), 2, 2),
                  "coefficient lengths do not match", id="compose-c"),
 ])
 def test_bloch_rejects_mismatched_dimensions(build, match):
@@ -171,9 +154,8 @@ def test_bloch_rejects_mismatched_dimensions(build, match):
 
 
 def test_bloch_decompose_rejects_non_hermitian():
-    b = generalized_basis(2)
     m = np.eye(4, dtype=complex) / 4
     m[0, 1] = 0.3
     with pytest.raises(ValueError):
-        bloch_decompose(m, b, b)
+        bloch_decompose(m, 2, 2)
 

@@ -15,7 +15,7 @@ from witnesskit.bases import generalized_basis
 from witnesskit.states import DensityMatrix, max_entangled
 from witnesskit.witness import min_over_separable
 
-SX, SY, SZ = generalized_basis(2).generators
+SX, SY, SZ = generalized_basis(2)
 
 
 def random_hermitian(rng, d):

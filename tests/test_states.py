@@ -101,7 +101,7 @@ def test_gamma_signs_printed_patterns(d, expected):
 
 def test_gamma_signs_minus_on_antisymmetric():
     for d in (4, 5, 12):
-        antisymmetric = [np.array_equal(g.T, -g) for g in generalized_basis(d).generators]
+        antisymmetric = [np.array_equal(g.T, -g) for g in generalized_basis(d)]
         assert ((gamma_signs(d) == -1) == antisymmetric).all()
 
 
@@ -109,11 +109,10 @@ def test_gamma_signs_minus_on_antisymmetric():
 def test_gamma_correlation_block_is_signed_identity(d):
     # gamma_signs reads only the diagonal: the block must have no cross terms,
     # unit entries, and -1 exactly on the antisymmetric generators
-    basis = generalized_basis(d)
     v = max_entangled(d)
-    t = bloch_decompose(np.outer(v, v.conj()), basis, basis).c * 2 / d
+    t = bloch_decompose(np.outer(v, v.conj()), d, d).c * 2 / d
     assert np.allclose(t, np.diag(np.diag(t)), rtol=0, atol=1e-12)
-    antisymmetric = np.array([np.array_equal(g.T, -g) for g in basis.generators])
+    antisymmetric = np.array([np.array_equal(g.T, -g) for g in generalized_basis(d)])
     assert np.allclose(np.diag(t), np.where(antisymmetric, -1, 1), rtol=0, atol=1e-12)
 
 
@@ -240,9 +239,9 @@ def test_density_matrix_validation():
 
 
 @pytest.mark.parametrize("build, error, match", [
-    pytest.param(lambda: DensityMatrix(np.eye(2) / 2, 0, 2), ValueError, "need d_a, d_b >= 1",
+    pytest.param(lambda: DensityMatrix(np.eye(2) / 2, 0, 2), ValueError, "need d_a >= 1, got 0",
                  id="density-d_a-0"),
-    pytest.param(lambda: DensityMatrix(np.eye(2) / 2, 2, -1), ValueError, "need d_a, d_b >= 1",
+    pytest.param(lambda: DensityMatrix(np.eye(2) / 2, 2, -1), ValueError, "need d_b >= 1, got -1",
                  id="density-d_b-negative"),
     pytest.param(lambda: DensityMatrix(np.eye(3) / 3, 2, 2), ValueError, r"matrix dim 3 != d_a\*d_b = 4",
                  id="density-size"),
@@ -260,6 +259,25 @@ def test_density_matrix_validation():
                  "trials must be an integer, got True", id="twirl-bool-trials"),
     pytest.param(lambda: IsotropicParams(10**200, 0.5), ValueError, f"d = {10**200} is too large",
                  id="isotropic-d-past-float-range"),
+    # a dimension is an integer: a float or a bool is refused by name, not left to numpy
+    pytest.param(lambda: DensityMatrix(np.eye(4) / 4, 2.0, 2), ValueError,
+                 "d_a must be an integer, got 2.0", id="density-float-d_a"),
+    pytest.param(lambda: DensityMatrix(np.eye(4) / 4, True, 4), ValueError,
+                 "d_a must be an integer, got True", id="density-bool-d_a"),
+    pytest.param(lambda: DensityMatrix(np.eye(4) / 4, 2, 2.0), ValueError,
+                 "d_b must be an integer, got 2.0", id="density-float-d_b"),
+    pytest.param(lambda: IsotropicParams(2.5, 0.5), ValueError, "d must be an integer, got 2.5",
+                 id="isotropic-fractional-d"),
+    pytest.param(lambda: IsotropicParams(True, 0.5), ValueError, "d must be an integer, got True",
+                 id="isotropic-bool-d"),
+    pytest.param(lambda: hs_measure_isotropic(2.5, 0.9), ValueError, "d must be an integer, got 2.5",
+                 id="hs-measure-fractional-d"),
+    pytest.param(lambda: isotropic(2.0, 0.9), ValueError, "d must be an integer, got 2.0",
+                 id="isotropic-float-d"),
+    pytest.param(lambda: max_entangled(2.5), ValueError, "d must be an integer, got 2.5",
+                 id="max-entangled-fractional-d"),
+    pytest.param(lambda: gamma_signs(2.5), ValueError, "d must be an integer, got 2.5",
+                 id="gamma-signs-fractional-d"),
 ])
 def test_states_reject_bad_input(build, error, match):
     with pytest.raises(error, match=match):

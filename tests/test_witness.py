@@ -19,12 +19,12 @@ from witnesskit.witness import (
 
 
 def sigma_operator():
-    sx, sy, sz = generalized_basis(2).generators
+    sx, sy, sz = generalized_basis(2)
     return np.kron(sx, sx) - np.kron(sy, sy) + np.kron(sz, sz)
 
 
 def lambda_operator():
-    lam = generalized_basis(3).generators
+    lam = generalized_basis(3)
     signs = [1, -1, 1, 1, -1, 1, -1, 1]
     return sum(s * np.kron(g, g) for s, g in zip(signs, lam))
 
@@ -110,7 +110,7 @@ def test_min_over_separable_identity():
 
 
 def test_min_over_separable_diagonal():
-    sz = generalized_basis(2).generators[2]
+    sz = generalized_basis(2)[2]
     value, (psi, phi) = min_over_separable(np.kron(sz, sz), 2, 2)
     assert value == pytest.approx(-1.0, abs=1e-10)
 
@@ -236,7 +236,7 @@ def test_min_over_separable_against_bloch_grid(d_b, seed):
     grid_min = np.linalg.eigvalsh(np.einsum("ikjl,si,sj->skl", a4, psi.conj(), psi))[:, 0].min()
     radius = (theta[1] - theta[0]) / 2 + (azimuth[1] - azimuth[0]) / 2
     lipschitz = 0.5 * np.sqrt(sum(
-        np.linalg.norm(np.einsum("ji,ikjl->kl", s, a4), 2) ** 2 for s in generalized_basis(2).generators
+        np.linalg.norm(np.einsum("ji,ikjl->kl", s, a4), 2) ** 2 for s in generalized_basis(2)
     ))
     assert value <= grid_min + 1e-12
     assert value >= grid_min - lipschitz * radius
@@ -397,7 +397,7 @@ def random_two_qubit_state(rng, rank):
 
 
 def correlation_matrix(rho):
-    paulis = generalized_basis(2).generators
+    paulis = generalized_basis(2)
     return np.array([[hs_inner(np.kron(si, sj), rho.matrix).real for sj in paulis]
                      for si in paulis])
 
