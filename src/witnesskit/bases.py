@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TAU_HERM, DimensionMismatchError, require_integer
+from .linalg import TAU_HERM, DimensionMismatchError, as_bipartite, require_integer
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,8 @@ def bloch_decompose(rho: np.ndarray, d_a: int, d_b: int) -> BlochVector:
     :func:`bloch_compose`.  Coefficients with a non-negligible imaginary part
     signal a non-Hermitian input and raise.
     """
+    r4 = as_bipartite(rho, d_a, d_b).reshape(d_a, d_b, d_a, d_b)
     ga, gb = generalized_basis(d_a), generalized_basis(d_b)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d_a * d_b, d_a * d_b):
-        raise DimensionMismatchError(
-            f"state dim {rho.shape} incompatible with bases d_a={d_a}, d_b={d_b}"
-        )
-    r4 = rho.reshape(d_a, d_b, d_a, d_b)
     # Tr(rho g^i x 1) = sum_{a,b,c} rho[(a,c),(b,c)] g[b,a]
     a = (d_a / 2) * np.einsum("acbc,iba->i", r4, ga)
     b = (d_b / 2) * np.einsum("acad,jdc->j", r4, gb)

@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: Hilbert-Schmidt geometry, the Hermiticity
-and integer checks and partial transposition.
+"""Dense complex-matrix kernel: Hilbert-Schmidt geometry, the Hermiticity,
+integer and bipartite-shape checks and partial transposition.
 
 Everything downstream (bases, states, witnesses, measures) is built on the
 handful of primitives in this module.  Matrices are plain square complex
@@ -40,6 +40,17 @@ def require_integer(name: str, value, low: int) -> None:
         raise ValueError(f"need {name} >= {low}, got {value}")
 
 
+def as_bipartite(a, d_a: int, d_b: int) -> np.ndarray:
+    """Coerce ``a`` to a square complex matrix on C^d_a (x) C^d_b, the
+    dimensions being integers >= 1."""
+    require_integer("d_a", d_a, 1)
+    require_integer("d_b", d_b, 1)
+    m = as_matrix(a)
+    if m.shape[0] != d_a * d_b:
+        raise DimensionMismatchError(f"matrix dim {m.shape[0]} != d_a*d_b = {d_a * d_b}")
+    return m
+
+
 def require_hermitian(a) -> np.ndarray:
     m = as_matrix(a)
     if not np.isfinite(m).all():
@@ -69,9 +80,5 @@ def partial_transpose(rho, d_a: int, d_b: int) -> np.ndarray:
     ``rho`` acts on a (d_a * d_b)-dimensional space with the first tensor
     factor of size ``d_a``.  Applying the map twice gives back the input.
     """
-    m = as_matrix(rho)
-    if m.shape[0] != d_a * d_b:
-        raise DimensionMismatchError(
-            f"matrix dim {m.shape[0]} != d_a*d_b = {d_a * d_b}"
-        )
+    m = as_bipartite(rho, d_a, d_b)
     return m.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(d_a * d_b, d_a * d_b)

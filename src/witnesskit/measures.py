@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TAU_EIG, hs_inner, hs_norm
+from .linalg import TAU_EIG, hs_inner, hs_norm, require_integer
 from .states import DensityMatrix, IsotropicParams, ProductEnsemble
-from .witness import SolverConfig, check_settings, min_over_separable, witness_candidate
+from .witness import SolverConfig, min_over_separable, witness_candidate
 
 #: Frank-Wolfe iterations before the projection gives up with ProjectionError
 MAX_OUTER_ITERS = 5000
@@ -36,7 +36,9 @@ class ProjectionConfig(SolverConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        check_settings(self, (), ("tol_gap",))
+        tol = self.tol_gap
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+            raise ValueError(f"tol_gap must be a positive finite number, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -232,7 +234,6 @@ def infinite_d_trend(alphas, d_max: int):
     the threshold; as d grows the threshold 1/(d+1) shrinks to zero and D
     approaches alpha.
     """
-    if isinstance(d_max, bool) or not isinstance(d_max, numbers.Integral) or d_max < 2:
-        raise ValueError(f"d_max must be an integer >= 2, got {d_max!r}")
+    require_integer("d_max", d_max, 2)
     return [(d, float(alpha), IsotropicParams(d, alpha).threshold, hs_measure_isotropic(d, alpha))
             for d in range(2, d_max + 1) for alpha in alphas]

@@ -14,6 +14,7 @@ from .linalg import (
     TAU_EIG,
     TAU_HERM,
     TAU_PSD,
+    as_bipartite,
     hs_norm,
     partial_transpose,
     require_hermitian,
@@ -31,16 +32,10 @@ class DensityMatrix:
     d_b: int
 
     def __post_init__(self):
-        require_integer("d_a", self.d_a, 1)
-        require_integer("d_b", self.d_b, 1)
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail as inf or nan
-            m = require_hermitian(self.matrix)
+            m = require_hermitian(as_bipartite(self.matrix, self.d_a, self.d_b))
             tr = np.trace(m)
         object.__setattr__(self, "matrix", m)
-        if m.shape[0] != self.d_a * self.d_b:
-            raise ValueError(
-                f"matrix dim {m.shape[0]} != d_a*d_b = {self.d_a * self.d_b}"
-            )
         if not abs(tr - 1) <= TAU_HERM:
             raise ValueError(f"trace is {tr:.12g}, expected 1")
         w = np.linalg.eigvalsh(m)

@@ -8,13 +8,13 @@ maximum over settings (the Horodecki criterion).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import bloch_decompose, generalized_basis
-from .linalg import TAU_EIG, DimensionMismatchError, hs_inner, hs_norm, require_hermitian
+from .linalg import (TAU_EIG, DimensionMismatchError, as_bipartite, hs_inner, hs_norm,
+                     require_hermitian, require_integer)
 from .states import DensityMatrix, IsotropicParams, gamma_operator
 
 # Sign-decision tolerance for witness checks; looser than the linear-algebra
@@ -45,21 +45,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_settings(self, (("n_starts", 1), ("max_iters", 1), ("seed", 0)), ())
-
-
-def check_settings(config, integers, positive_finite):
-    """Raise ValueError unless each setting of ``config`` named in ``integers``
-    is an integer >= its bound and each named in ``positive_finite`` is a
-    positive finite number."""
-    for name, low in integers:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    for name in positive_finite:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < np.inf:
-            raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        for name, low in (("n_starts", 1), ("max_iters", 1), ("seed", 0)):
+            require_integer(name, getattr(self, name), low)
 
 
 @dataclass(frozen=True)
@@ -124,9 +111,7 @@ def min_over_separable(
     the minimizer above.  Other extra starts, and entries so large that the
     arithmetic overflows, raise ``ValueError``.
     """
-    m = require_hermitian(a)
-    if m.shape[0] != d_a * d_b:
-        raise DimensionMismatchError(f"operator dim {m.shape[0]} != {d_a * d_b}")
+    m = require_hermitian(as_bipartite(a, d_a, d_b))
     starts = np.asarray(extra_starts, dtype=complex)
     with np.errstate(all="ignore"):  # a norm that is not finite is rejected below
         norms = np.linalg.norm(starts, axis=-1)

@@ -91,8 +91,8 @@ def test_generalized_basis_rejects_small_d():
 
 @pytest.mark.parametrize("d_a", [2.0, 2.5, True])
 def test_bloch_rejects_non_integer_dimensions(d_a):
-    # the dimensions go straight into generalized_basis
-    with pytest.raises(ValueError, match=f"d must be an integer, got {d_a!r}"):
+    # the shape check refuses them before any basis is built
+    with pytest.raises(ValueError, match=f"d_a must be an integer, got {d_a!r}"):
         bloch_decompose(np.eye(4) / 4, d_a, 2)
 
 
@@ -140,9 +140,9 @@ def test_bloch_round_trip(da, db):
 
 @pytest.mark.parametrize("build, match", [
     pytest.param(lambda: bloch_decompose(np.eye(3) / 3, 2, 2),
-                 r"state dim \(3, 3\) incompatible with bases d_a=2, d_b=2", id="decompose-size"),
+                 r"matrix dim 3 != d_a\*d_b = 4", id="decompose-size"),
     pytest.param(lambda: bloch_decompose(np.eye(4) / 4, 2, 3),
-                 r"state dim \(4, 4\) incompatible with bases d_a=2, d_b=3", id="decompose-bases"),
+                 r"matrix dim 4 != d_a\*d_b = 6", id="decompose-bases"),
     pytest.param(lambda: bloch_compose(BlochVector(np.zeros(2), np.zeros(3), np.zeros((3, 3))), 2, 2),
                  "coefficient lengths do not match", id="compose-a"),
     pytest.param(lambda: bloch_compose(BlochVector(np.zeros(3), np.zeros(3), np.zeros((3, 8))), 2, 2),

@@ -11,7 +11,7 @@ from witnesskit.linalg import (
     partial_transpose,
     require_hermitian,
 )
-from witnesskit.bases import generalized_basis
+from witnesskit.bases import bloch_decompose, generalized_basis
 from witnesskit.states import DensityMatrix, max_entangled
 from witnesskit.witness import min_over_separable
 
@@ -178,6 +178,17 @@ def test_partial_transpose_preserves_trace_and_hermiticity():
     assert np.allclose(pt, pt.conj().T)
 
 
-def test_partial_transpose_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        partial_transpose(np.eye(5), 2, 3)
+# every operator on C^d_a (x) C^d_b passes one shape check, so the same bad
+# dimensions fail with the same message at each entry point
+@pytest.mark.parametrize("d_a, d_b, error, message", [
+    pytest.param(2.0, 2, ValueError, "d_a must be an integer, got 2.0", id="float"),
+    pytest.param(2, True, ValueError, "d_b must be an integer, got True", id="bool"),
+    pytest.param(0, 4, ValueError, "need d_a >= 1, got 0", id="zero"),
+    pytest.param(-2, -2, ValueError, "need d_a >= 1, got -2", id="negative"),
+    pytest.param(2, 3, DimensionMismatchError, "matrix dim 4 != d_a*d_b = 6", id="mismatch"),
+])
+@pytest.mark.parametrize("entry", [partial_transpose, min_over_separable, DensityMatrix, bloch_decompose],
+                         ids=lambda f: f.__name__)
+def test_bipartite_shape_check(entry, d_a, d_b, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        entry(np.eye(4) / 4, d_a, d_b)

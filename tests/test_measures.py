@@ -152,7 +152,7 @@ def test_bnt_check_distance_equals_violation(d, alpha):
 
 @pytest.mark.parametrize("tol_gap", [0.0, -1e-9, float("nan"), float("inf")])
 def test_projection_config_rejects_non_positive_tol_gap(tol_gap):
-    with pytest.raises(ValueError, match="tol_gap"):
+    with pytest.raises(ValueError, match=f"tol_gap must be a positive finite number, got {tol_gap!r}"):
         ProjectionConfig(tol_gap=tol_gap)
 
 
@@ -373,11 +373,11 @@ def test_infinite_d_trend_separable_entries_zero():
 
 
 def test_infinite_d_trend_rejects_small_dmax():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need d_max >= 2, got 1"):
         infinite_d_trend([0.5], 1)
 
 
 @pytest.mark.parametrize("d_max", [3.0, 2.5, True, "3"])
 def test_infinite_d_trend_rejects_non_integer_dmax(d_max):
-    with pytest.raises(ValueError, match=f"d_max must be an integer >= 2, got {d_max!r}"):
+    with pytest.raises(ValueError, match=f"d_max must be an integer, got {d_max!r}"):
         infinite_d_trend([0.5], d_max)

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from witnesskit.states import (
 from witnesskit.bases import bloch_decompose, generalized_basis
 from witnesskit.linalg import hs_norm
 from witnesskit.measures import hs_measure_isotropic
+from witnesskit.witness import SolverConfig
 
 
 def test_max_entangled_d2():
@@ -278,6 +280,31 @@ def test_density_matrix_validation():
                  id="max-entangled-fractional-d"),
     pytest.param(lambda: gamma_signs(2.5), ValueError, "d must be an integer, got 2.5",
                  id="gamma-signs-fractional-d"),
+    # the solver's counts and seed pass the same integer check
+    pytest.param(partial(SolverConfig, n_starts=True), ValueError, "n_starts must be an integer, got True",
+                 id="solver-bool-n_starts"),
+    pytest.param(partial(SolverConfig, n_starts=2.0), ValueError, "n_starts must be an integer, got 2.0",
+                 id="solver-float-n_starts"),
+    pytest.param(partial(SolverConfig, n_starts=None), ValueError, "n_starts must be an integer, got None",
+                 id="solver-none-n_starts"),
+    pytest.param(partial(SolverConfig, n_starts=0), ValueError, "need n_starts >= 1, got 0",
+                 id="solver-n_starts-0"),
+    pytest.param(partial(SolverConfig, max_iters=True), ValueError, "max_iters must be an integer, got True",
+                 id="solver-bool-max_iters"),
+    pytest.param(partial(SolverConfig, max_iters=2.0), ValueError, "max_iters must be an integer, got 2.0",
+                 id="solver-float-max_iters"),
+    pytest.param(partial(SolverConfig, max_iters=None), ValueError, "max_iters must be an integer, got None",
+                 id="solver-none-max_iters"),
+    pytest.param(partial(SolverConfig, max_iters=0), ValueError, "need max_iters >= 1, got 0",
+                 id="solver-max_iters-0"),
+    pytest.param(partial(SolverConfig, seed=True), ValueError, "seed must be an integer, got True",
+                 id="solver-bool-seed"),
+    pytest.param(partial(SolverConfig, seed=2.0), ValueError, "seed must be an integer, got 2.0",
+                 id="solver-float-seed"),
+    pytest.param(partial(SolverConfig, seed=None), ValueError, "seed must be an integer, got None",
+                 id="solver-none-seed"),
+    pytest.param(partial(SolverConfig, seed=-1), ValueError, "need seed >= 0, got -1",
+                 id="solver-seed-negative"),
 ])
 def test_states_reject_bad_input(build, error, match):
     with pytest.raises(error, match=match):

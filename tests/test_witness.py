@@ -78,11 +78,6 @@ def test_witness_candidate_rejects_dimension_mismatch():
         witness_candidate(DensityMatrix(np.eye(6) / 6, 3, 2), DensityMatrix(np.eye(6) / 6, 2, 3))
 
 
-def test_min_over_separable_rejects_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        min_over_separable(np.eye(4), 2, 3)
-
-
 def test_min_over_separable_rejects_huge_operator():
     # finite, but the solver's arithmetic overflows; warnings are errors in the tests
     with pytest.raises(ValueError, match="too large") as info:
