@@ -15,9 +15,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "bases": (
-        "BlochVector", "bloch_compose", "bloch_decompose", "generalized_basis",
-    ),
+    "bases": ("bloch_compose", "bloch_decompose", "generalized_basis"),
     "linalg": ("hs_inner", "hs_norm", "partial_transpose"),
     "measures": (
         "BntReport", "MeasureResult", "ProjectionConfig", "ProjectionError",

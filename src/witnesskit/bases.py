@@ -1,33 +1,19 @@
 """Operator bases for qudits: the generalized Gell-Mann generators of
 SU(d), which ``generalized_basis(d)`` returns as one (d^2 - 1, d, d) array,
-and Bloch-style coefficient decompositions.  ``generalized_basis(2)`` is the
-Pauli set and ``generalized_basis(3)`` the Gell-Mann set in the order
-lambda^1..lambda^8.  ``bloch_decompose(rho, d_a, d_b)`` and ``bloch_compose``
-take the subsystem dimensions and build both bases themselves.
+and the Bloch matrix of a bipartite operator in their product basis.
+``generalized_basis(2)`` is the Pauli set and ``generalized_basis(3)`` the
+Gell-Mann set in the order lambda^1..lambda^8.  ``bloch_decompose(rho, d_a,
+d_b)`` and ``bloch_compose(c, d_a, d_b)`` take the subsystem dimensions and
+build both bases themselves.
 
 The generators satisfy Tr g^i = 0 and Tr g^i g^j = 2 delta_ij.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import TAU_HERM, DimensionMismatchError, as_bipartite, require_integer
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Coefficients of a bipartite operator in a product generator basis.
-
-    Stores the plain coefficients of
-    rho = (1 / (d_a d_b)) (1 + a_i g^i x 1 + b_i 1 x g^i + c_ij g^i x g^j).
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+from .linalg import DimensionMismatchError, as_bipartite, require_hermitian, require_integer
 
 
 # For d = 3 the block ordering (symmetric, antisymmetric, diagonal) is
@@ -66,37 +52,36 @@ def generalized_basis(d: int) -> np.ndarray:
     return np.array(gens)
 
 
-def bloch_decompose(rho: np.ndarray, d_a: int, d_b: int) -> BlochVector:
-    """Expand a bipartite operator on C^d_a (x) C^d_b, given as a matrix, in
-    the product basis of :func:`generalized_basis` generators.
+def _with_identity(d: int) -> np.ndarray:
+    """The (d^2, d, d) stack g^0 = 1 followed by :func:`generalized_basis`."""
+    return np.concatenate([np.eye(d, dtype=complex)[None], generalized_basis(d)])
 
-    Normalization: a_i = (d_a/2) Tr(rho g^i x 1), b_i = (d_b/2) Tr(rho 1 x g^i),
-    c_ij = (d_a d_b / 4) Tr(rho g^i x g^j), the exact inverse of
-    :func:`bloch_compose`.  Coefficients with a non-negligible imaginary part
-    signal a non-Hermitian input and raise.
+
+def bloch_decompose(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Bloch matrix of a Hermitian operator on C^d_a (x) C^d_b: the real
+    (d_a^2, d_b^2) array C with rho = (1/(d_a d_b)) sum_ij C_ij g^i x g^j,
+    g^0 = 1 and g^1.. the :func:`generalized_basis` generators.
+
+    C_00 = Tr rho, and the blocks a = C[1:, 0], b = C[0, 1:] and c = C[1:, 1:]
+    are a_i = (d_a/2) Tr(rho g^i x 1), b_j = (d_b/2) Tr(rho 1 x g^j) and
+    c_ij = (d_a d_b / 4) Tr(rho g^i x g^j).  :func:`bloch_compose` is the
+    exact inverse.
     """
-    r4 = as_bipartite(rho, d_a, d_b).reshape(d_a, d_b, d_a, d_b)
-    ga, gb = generalized_basis(d_a), generalized_basis(d_b)
-    # Tr(rho g^i x 1) = sum_{a,b,c} rho[(a,c),(b,c)] g[b,a]
-    a = (d_a / 2) * np.einsum("acbc,iba->i", r4, ga)
-    b = (d_b / 2) * np.einsum("acad,jdc->j", r4, gb)
-    c = (d_a * d_b / 4) * np.einsum("acbd,iba,jdc->ij", r4, ga, gb, optimize=True)
-    for name, arr in (("a", a), ("b", b), ("c", c)):
-        if np.max(np.abs(arr.imag)) > TAU_HERM:
-            raise ValueError(
-                f"non-real Bloch coefficients in {name}: input is not Hermitian"
-            )
-    return BlochVector(a.real, b.real, c.real)
+    r4 = require_hermitian(as_bipartite(rho, d_a, d_b)).reshape(d_a, d_b, d_a, d_b)
+    # scaled so that Tr(ga^i g^j) = d_a delta_ij, the same for gb
+    ga, gb = _with_identity(d_a), _with_identity(d_b)
+    ga[1:] *= d_a / 2
+    gb[1:] *= d_b / 2
+    # Tr(rho ga^i x gb^j) = sum rho[(a,c),(b,d)] ga^i[b,a] gb^j[d,c]
+    return np.einsum("acbd,iba,jdc->ij", r4, ga, gb, optimize=True).real
 
 
-def bloch_compose(v: BlochVector, d_a: int, d_b: int) -> np.ndarray:
-    """Rebuild the matrix from its Bloch coefficients (inverse of decompose)."""
-    ga, gb = generalized_basis(d_a), generalized_basis(d_b)
-    n_a, n_b = len(ga), len(gb)
-    if v.a.shape != (n_a,) or v.b.shape != (n_b,) or v.c.shape != (n_a, n_b):
-        raise DimensionMismatchError("Bloch coefficient lengths do not match the bases")
-    r4 = np.einsum("ab,cd->acbd", np.eye(d_a, dtype=complex), np.eye(d_b, dtype=complex))
-    r4 = r4 + np.einsum("i,iab,cd->acbd", v.a, ga, np.eye(d_b))
-    r4 = r4 + np.einsum("j,ab,jcd->acbd", v.b, np.eye(d_a), gb)
-    r4 = r4 + np.einsum("ij,iab,jcd->acbd", v.c, ga, gb)
+def bloch_compose(c: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Rebuild the matrix from its Bloch matrix (inverse of decompose)."""
+    require_integer("d_a", d_a, 1)
+    require_integer("d_b", d_b, 1)
+    c = np.asarray(c)
+    if c.shape != (d_a**2, d_b**2):
+        raise DimensionMismatchError(f"Bloch matrix shape {c.shape} != (d_a^2, d_b^2) = {(d_a**2, d_b**2)}")
+    r4 = np.einsum("ij,iab,jcd->acbd", c, _with_identity(d_a), _with_identity(d_b), optimize=True)
     return r4.reshape(d_a * d_b, d_a * d_b) / (d_a * d_b)

@@ -143,7 +143,7 @@ def gamma_signs(d: int) -> np.ndarray:
     basis of :func:`~witnesskit.bases.generalized_basis`."""
     v = max_entangled(d)
     # |phi+><phi+| = (1/d^2)(1 + (d/2) Gamma): its correlation block is (d/2) Gamma
-    c = bloch_decompose(np.outer(v, v.conj()), d, d).c
+    c = bloch_decompose(np.outer(v, v.conj()), d, d)[1:, 1:]
     return np.sign(np.diag(c)).astype(int)
 
 
@@ -208,8 +208,8 @@ def density_from_json(obj: dict) -> DensityMatrix:
     """Inverse of ``density_to_json``; raises ValueError on malformed input."""
     try:
         d_a, d_b = obj["d_a"], obj["d_b"]
-        if not all(type(n) is int and n > 0 for n in (d_a, d_b)):
-            raise TypeError(f"d_a = {d_a!r}, d_b = {d_b!r}")
+        require_integer("d_a", d_a, 1)
+        require_integer("d_b", d_b, 1)
         entries = [complex(re, im) for re, im in obj["entries"]]
         if any(type(x) is bool for pair in obj["entries"] for x in pair):
             raise TypeError("an entry is a boolean")

@@ -274,6 +274,6 @@ def chsh_max_violation(rho: DensityMatrix) -> float:
     """
     if rho.d_a != 2 or rho.d_b != 2:
         raise DimensionMismatchError("CHSH scan requires a two-qubit state")
-    t = bloch_decompose(rho.matrix, 2, 2).c  # c_ij = Tr(rho sigma^i x sigma^j) for qubits
+    t = bloch_decompose(rho.matrix, 2, 2)[1:, 1:]  # c_ij = Tr(rho sigma^i x sigma^j) for qubits
     s = np.linalg.svd(t, compute_uv=False)  # s_i^2 are the eigenvalues of T^T T
     return float(2 * np.hypot(s[0], s[1]))

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from witnesskit.bases import (
-    BlochVector,
-    bloch_compose,
-    bloch_decompose,
-    generalized_basis,
-)
+from witnesskit.bases import bloch_compose, bloch_decompose, generalized_basis
 from witnesskit.linalg import DimensionMismatchError, hs_inner
 from witnesskit.states import DensityMatrix, isotropic
 
@@ -97,30 +92,28 @@ def test_bloch_rejects_non_integer_dimensions(d_a):
 
 
 def test_bloch_decompose_maximally_mixed():
-    v = bloch_decompose(np.eye(4) / 4, 2, 2)
-    assert np.allclose(v.a, 0)
-    assert np.allclose(v.b, 0)
-    assert np.allclose(v.c, 0)
+    c = bloch_decompose(np.eye(4) / 4, 2, 2)
+    assert c.shape == (4, 4) and c.dtype == float
+    assert np.allclose(c, np.diag([1, 0, 0, 0]))
 
 
 def test_bloch_decompose_isotropic_qubit():
     alpha = 0.7
-    v = bloch_decompose(isotropic(2, alpha).matrix, 2, 2)
-    assert np.allclose(v.a, 0, atol=1e-12)
-    assert np.allclose(v.b, 0, atol=1e-12)
-    assert np.allclose(v.c, alpha * np.diag([1, -1, 1]), atol=1e-12)
+    c = bloch_decompose(isotropic(2, alpha).matrix, 2, 2)
+    assert np.allclose(c, np.diag([1, alpha, -alpha, alpha]), atol=1e-12)
 
 
 def test_bloch_decompose_isotropic_qutrit():
     alpha = 0.5
-    v = bloch_decompose(isotropic(3, alpha).matrix, 3, 3)
+    c = bloch_decompose(isotropic(3, alpha).matrix, 3, 3)
     signs = np.array([1, -1, 1, 1, -1, 1, -1, 1])
-    assert np.allclose(v.c, (3 * alpha / 2) * np.diag(signs), atol=1e-12)
+    assert np.allclose(c, np.diag([1, *((3 * alpha / 2) * signs)]), atol=1e-12)
 
 
 def test_bloch_compose_zero_vector():
-    v = BlochVector(np.zeros(8), np.zeros(8), np.zeros((8, 8)))
-    assert np.allclose(bloch_compose(v, 3, 3), np.eye(9) / 9)
+    c = np.zeros((9, 9))
+    c[0, 0] = 1
+    assert np.allclose(bloch_compose(c, 3, 3), np.eye(9) / 9)
 
 
 def random_density(rng, d):
@@ -129,33 +122,63 @@ def random_density(rng, d):
     return m / np.trace(m)
 
 
-@pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
 def test_bloch_round_trip(da, db):
     rng = np.random.default_rng(11)
     for _ in range(50):
         rho = random_density(rng, da * db)
-        v = bloch_decompose(rho, da, db)
-        assert np.allclose(bloch_compose(v, da, db), rho, atol=1e-9)
+        c = bloch_decompose(rho, da, db)
+        assert c.shape == (da**2, db**2)
+        assert np.allclose(bloch_compose(c, da, db), rho, atol=1e-9)
 
 
-@pytest.mark.parametrize("build, match", [
-    pytest.param(lambda: bloch_decompose(np.eye(3) / 3, 2, 2),
+def test_bloch_matrix_blocks_are_traces():
+    # each block against Tr(rho g^i x g^j) computed directly, one entry at a time
+    da, db = 2, 3
+    rho = random_density(np.random.default_rng(5), da * db)
+    ga, gb = generalized_basis(da), generalized_basis(db)
+    c = bloch_decompose(rho, da, db)
+    assert c[0, 0] == pytest.approx(1, abs=1e-12)
+    for i, g in enumerate(ga, 1):
+        assert c[i, 0] == pytest.approx(da / 2 * np.trace(rho @ np.kron(g, np.eye(db))).real, abs=1e-12)
+    for j, h in enumerate(gb, 1):
+        assert c[0, j] == pytest.approx(db / 2 * np.trace(rho @ np.kron(np.eye(da), h)).real, abs=1e-12)
+    for i, g in enumerate(ga, 1):
+        for j, h in enumerate(gb, 1):
+            assert c[i, j] == pytest.approx(da * db / 4 * np.trace(rho @ np.kron(g, h)).real, abs=1e-12)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    pytest.param(lambda: bloch_decompose(np.eye(3) / 3, 2, 2), DimensionMismatchError,
                  r"matrix dim 3 != d_a\*d_b = 4", id="decompose-size"),
-    pytest.param(lambda: bloch_decompose(np.eye(4) / 4, 2, 3),
+    pytest.param(lambda: bloch_decompose(np.eye(4) / 4, 2, 3), DimensionMismatchError,
                  r"matrix dim 4 != d_a\*d_b = 6", id="decompose-bases"),
-    pytest.param(lambda: bloch_compose(BlochVector(np.zeros(2), np.zeros(3), np.zeros((3, 3))), 2, 2),
-                 "coefficient lengths do not match", id="compose-a"),
-    pytest.param(lambda: bloch_compose(BlochVector(np.zeros(3), np.zeros(3), np.zeros((3, 8))), 2, 2),
-                 "coefficient lengths do not match", id="compose-c"),
+    pytest.param(lambda: bloch_compose(np.zeros((4, 4)), 2.0, 2), ValueError,
+                 r"^d_a must be an integer, got 2\.0$", id="compose-float"),
+    # an a block C[1:, 0] of 2 entries, and a (3, 8) c block C[1:, 1:], for 2x2
+    pytest.param(lambda: bloch_compose(np.zeros((3, 4)), 2, 2), DimensionMismatchError,
+                 r"^Bloch matrix shape \(3, 4\) != \(d_a\^2, d_b\^2\) = \(4, 4\)$", id="compose-a"),
+    pytest.param(lambda: bloch_compose(np.zeros((4, 9)), 2, 2), DimensionMismatchError,
+                 r"^Bloch matrix shape \(4, 9\) != \(d_a\^2, d_b\^2\) = \(4, 4\)$", id="compose-c"),
 ])
-def test_bloch_rejects_mismatched_dimensions(build, match):
-    with pytest.raises(DimensionMismatchError, match=match):
+def test_bloch_rejects_mismatched_dimensions(build, error, match):
+    with pytest.raises(error, match=match):
         build()
 
 
-def test_bloch_decompose_rejects_non_hermitian():
+def with_entry(index, value):
     m = np.eye(4, dtype=complex) / 4
-    m[0, 1] = 0.3
-    with pytest.raises(ValueError):
-        bloch_decompose(m, 2, 2)
+    m[index] = value
+    return m
 
+
+# the one require_hermitian check: NaN and inf fail it as a non-Hermitian entry does
+@pytest.mark.parametrize("m, match", [
+    pytest.param(with_entry((0, 1), 0.3), r"^matrix is not Hermitian \(max deviation 3\.000e-01 > 1\.0e-10\)$",
+                 id="non-hermitian"),
+    pytest.param(with_entry((0, 0), np.nan), r"^matrix has 1 non-finite \(NaN or inf\) entries$", id="nan"),
+    pytest.param(with_entry((0, 0), np.inf), r"^matrix has 1 non-finite \(NaN or inf\) entries$", id="inf"),
+])
+def test_bloch_decompose_rejects_non_hermitian(m, match):
+    with pytest.raises(ValueError, match=match):
+        bloch_decompose(m, 2, 2)

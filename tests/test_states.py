@@ -1,4 +1,5 @@
 import json
+import re
 from functools import partial
 
 import numpy as np
@@ -109,13 +110,12 @@ def test_gamma_signs_minus_on_antisymmetric():
 
 @pytest.mark.parametrize("d", [*range(2, 9), 12])
 def test_gamma_correlation_block_is_signed_identity(d):
-    # gamma_signs reads only the diagonal: the block must have no cross terms,
-    # unit entries, and -1 exactly on the antisymmetric generators
+    # gamma_signs reads only the diagonal: |phi+><phi+| = (1/d^2)(1 + (d/2) Gamma)
+    # must have no marginal or cross terms, and -1 exactly on the antisymmetric generators
     v = max_entangled(d)
-    t = bloch_decompose(np.outer(v, v.conj()), d, d).c * 2 / d
-    assert np.allclose(t, np.diag(np.diag(t)), rtol=0, atol=1e-12)
+    c = bloch_decompose(np.outer(v, v.conj()), d, d)
     antisymmetric = np.array([np.array_equal(g.T, -g) for g in generalized_basis(d)])
-    assert np.allclose(np.diag(t), np.where(antisymmetric, -1, 1), rtol=0, atol=1e-12)
+    assert np.allclose(c, np.diag([1, *(d / 2 * np.where(antisymmetric, -1, 1))]), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -336,11 +336,23 @@ def test_density_from_json_rejects_malformed_entries(entries):
         density_from_json({"d_a": 2, "d_b": 2, "entries": entries})
 
 
-@pytest.mark.parametrize("d_a", ["1e400", "Infinity", "2.7", "2.0", "true", '"2"', "null", "0", "-2"])
-def test_density_from_json_rejects_malformed_dimensions(d_a):
+# the JSON message carries the reason require_integer gives
+@pytest.mark.parametrize("d_a, reason", [pytest.param(d_a, reason, id=d_a) for d_a, reason in [
+    ("1e400", "d_a must be an integer, got inf"),
+    ("Infinity", "d_a must be an integer, got inf"),
+    ("2.7", "d_a must be an integer, got 2.7"),
+    ("2.0", "d_a must be an integer, got 2.0"),
+    ("true", "d_a must be an integer, got True"),
+    ('"2"', "d_a must be an integer, got '2'"),
+    ("null", "d_a must be an integer, got None"),
+    ("0", "need d_a >= 1, got 0"),
+    ("-2", "need d_a >= 1, got -2"),
+]])
+def test_density_from_json_rejects_malformed_dimensions(d_a, reason):
     entries = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
     obj = json.loads(f'{{"d_a": {d_a}, "d_b": 2, "entries": {json.dumps(entries)}}}')
-    with pytest.raises(ValueError, match="positive integer d_a, d_b"):
+    with pytest.raises(ValueError, match=re.escape(f"positive integer d_a, d_b and 'entries' as a list "
+                                                   f"of [re, im] number pairs ({reason})")):
         density_from_json(obj)
 
 
