@@ -91,25 +91,26 @@ def min_over_separable(
     """Global minimum of <psi x phi| a |psi x phi> over unit vectors.
 
     By linearity this is the minimum of <rho, a> over all separable rho,
-    attained at a pure product state.  All starts run as stacked arrays.
-    Each iteration takes one alternating step (for fixed phi the optimal psi
-    is the minimal eigenvector of the contracted d_a x d_a operator, and
-    symmetrically), then a damped Newton step (``_newton_step``) proposes
-    where the next one starts; it crosses the flat valleys where alternating
-    steps crawl.  A proposal that would raise the value is dropped for a
-    plain alternating step.  A start has converged once a step lowers its
-    value by less than ``TOL_CONV``, if that step began at a proposal
-    or the Newton model predicts no larger decrease.  Starts still running
-    when ``cfg.max_iters`` runs out take part with the value they reached;
-    if none has converged, ``SolverError`` carries the best value seen.
+    attained at a pure product state.  All starts run as stacked arrays,
+    and every start steps until all have stopped.  Each iteration takes one
+    alternating step (for fixed phi the optimal psi is the minimal
+    eigenvector of the contracted d_a x d_a operator, and symmetrically),
+    then a damped Newton step (``_newton_step``) proposes where the next one
+    starts; it crosses the flat valleys where alternating steps crawl.  A
+    proposal that would raise the value is dropped for a plain alternating
+    step.  A start has converged once a step lowers its value by less than
+    ``TOL_CONV``, if that step began at a proposal or the Newton model
+    predicts no larger decrease.  Starts still running when
+    ``cfg.max_iters`` runs out take part with the value they reached; if
+    none has converged, ``SolverError`` carries the best value seen.
 
     Returns ``(value, (psi, phi))``, the value being the Rayleigh value of
     the returned unit vectors.  ``extra_starts`` may supply additional
     initial phi vectors (e.g. warm starts), each of length d_b with a finite
     nonzero norm.  With ``every_start`` it returns the endpoints of all
-    starts instead, sorted by value, as ``(values, (psis, phis))``; row 0 is
-    the minimizer above.  Other extra starts, and entries so large that the
-    arithmetic overflows, raise ``ValueError``.
+    starts instead, in stable order of value, as ``(values, (psis, phis))``;
+    row 0 is the minimizer above.  Other extra starts, and entries so large
+    that the arithmetic overflows, raise ``ValueError``.
     """
     m = require_hermitian(as_bipartite(a, d_a, d_b))
     starts = np.asarray(extra_starts, dtype=complex)
@@ -123,48 +124,46 @@ def min_over_separable(
     except FloatingPointError as exc:
         raise ValueError(f"operator too large for the product-state solver ({exc})") from exc
     if every_start:
-        order = np.argsort(value, kind="stable")
-        return value[order], (psi[order], phi[order])
-    k = int(np.argmin(value))
-    return float(value[k]), (psi[k], phi[k])
+        return value, (psi, phi)
+    return float(value[0]), (psi[0], phi[0])
 
 
 def _multistart(m, d_a, d_b, cfg, extra_starts):
     """Endpoints ``(values, psis, phis)`` of all starts of ``min_over_separable``,
-    ``extra_starts`` a (k, d_b) array."""
+    ``extra_starts`` a (k, d_b) array, in stable order of value.  Every start
+    steps until all have stopped; a stopped start's step is discarded."""
     a4 = m.reshape(d_a, d_b, d_a, d_b)
     z = np.random.default_rng(cfg.seed).standard_normal((cfg.n_starts, 2, d_b))
     phi = np.concatenate([extra_starts, z[:, 0] + 1j * z[:, 1]])
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
     psi = np.empty((len(phi), d_a), dtype=complex)
     value = np.full(len(phi), np.inf)
-    start = phi.copy()  # where each start's next psi half-step begins
+    start = phi  # where each start's next psi half-step begins
     plain = np.ones(len(phi), dtype=bool)  # start is phi, not a Newton proposal
     length = np.ones(len(phi))  # scale of the next Newton step
     running = np.ones(len(phi), dtype=bool)
     for _ in range(cfg.max_iters):
-        act = np.flatnonzero(running)
         # column 0 of each eigenvector stack is psi (phi), the rest span its complement
-        va = np.linalg.eigh(np.einsum("ikjl,sk,sl->sij", a4, start[act].conj(), start[act]))[1]
+        va = np.linalg.eigh(np.einsum("ikjl,sk,sl->sij", a4, start.conj(), start))[1]
         w, vb = np.linalg.eigh(np.einsum("ikjl,si,sj->skl", a4, va[:, :, 0].conj(), va[:, :, 0]))
         w = w[:, 0]
-        ok = plain[act] | (w < value[act])
-        length[act] = np.where(plain[act], length[act],
-                               np.where(ok, np.minimum(2 * length[act], 1), length[act] / 4))
-        moved = act[ok]
-        decrease = value[moved] - w[ok]
-        psi[moved], phi[moved], value[moved] = va[ok, :, 0], vb[ok, :, 0], w[ok]
-        proposal, predicted = _newton_step(m, va[ok], vb[ok], value[moved], length[moved])
-        done = (decrease < TOL_CONV) & ((predicted < TOL_CONV) | ~plain[moved])
-        running[moved[done]] = False
-        start[act], plain[act] = phi[act], True
-        start[moved[~done]], plain[moved[~done]] = proposal[~done], False
+        ok = running & (plain | (w < value))  # the rows that take their step
+        length = np.where(plain, length, np.where(ok, np.minimum(2 * length, 1), length / 4))
+        decrease = value - w
+        psi, phi = np.where(ok[:, None], va[:, :, 0], psi), np.where(ok[:, None], vb[:, :, 0], phi)
+        value = np.where(ok, w, value)
+        proposal, predicted = _newton_step(m, va, vb, value, length)
+        done = ok & (decrease < TOL_CONV) & ((predicted < TOL_CONV) | ~plain)
+        running &= ~done
+        plain = ~ok | done
+        start = np.where(plain[:, None], phi, proposal)
         if not running.any():
             break
     if running.all():
         raise SolverError(f"product-state solver did not converge in {cfg.max_iters} iterations",
                           float(value.min()))
-    return value, psi, phi
+    order = np.argsort(value, kind="stable")
+    return value[order], psi[order], phi[order]
 
 
 def _second_order(a, va, vb, value):

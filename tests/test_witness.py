@@ -264,6 +264,25 @@ def test_min_over_separable_every_start():
     assert np.max(np.abs(values - rayleigh)) <= 1e-12
 
 
+@pytest.mark.parametrize("d_a,d_b,seed", [(2, 3, 34), (3, 3, 35)])
+def test_min_over_separable_endpoint_depends_only_on_its_start(d_a, d_b, seed):
+    # every start steps until all have stopped, and a stopped start keeps its
+    # endpoint; the extra start e and the first random start (the same draw for
+    # any n_starts) run alone, then among 8, where the others stop earlier or
+    # later (5-8 and 7-9 iterations here, against 7 and 8 for e)
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(rng, d_a * d_b)
+    e = random_unit(rng, d_b)
+    alone = min_over_separable(a, d_a, d_b, SolverConfig(n_starts=1), [e], every_start=True)
+    among = min_over_separable(a, d_a, d_b, SolverConfig(n_starts=8), [e], every_start=True)
+    assert len(alone[0]) == 2 and len(among[0]) == 9
+    # rows come back in value order, so each is found by its whole endpoint
+    for value, psi, phi in zip(alone[0], *alone[1]):
+        dev = np.maximum.reduce([np.abs(among[0] - value), np.abs(among[1][0] - psi).max(axis=1),
+                                 np.abs(among[1][1] - phi).max(axis=1)])
+        assert dev.min() <= 1e-14
+
+
 def test_verify_nearest_separable_qubit():
     report = verify_nearest_separable(isotropic(2, 1 / 3), isotropic(2, 0.8))
     assert report.is_witness
