@@ -65,9 +65,11 @@ def bloch_decompose(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     C_00 = Tr rho, and the blocks a = C[1:, 0], b = C[0, 1:] and c = C[1:, 1:]
     are a_i = (d_a/2) Tr(rho g^i x 1), b_j = (d_b/2) Tr(rho 1 x g^j) and
     c_ij = (d_a d_b / 4) Tr(rho g^i x g^j).  :func:`bloch_compose` is the
-    exact inverse.
+    exact inverse.  Both take integer dimensions d_a, d_b >= 2.
     """
     r4 = require_hermitian(as_bipartite(rho, d_a, d_b)).reshape(d_a, d_b, d_a, d_b)
+    require_integer("d_a", d_a, 2)  # the shared shape check allows a factor of 1
+    require_integer("d_b", d_b, 2)
     # scaled so that Tr(ga^i g^j) = d_a delta_ij, the same for gb
     ga, gb = _with_identity(d_a), _with_identity(d_b)
     ga[1:] *= d_a / 2
@@ -78,8 +80,8 @@ def bloch_decompose(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
 
 def bloch_compose(c: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """Rebuild the matrix from its Bloch matrix (inverse of decompose)."""
-    require_integer("d_a", d_a, 1)
-    require_integer("d_b", d_b, 1)
+    require_integer("d_a", d_a, 2)
+    require_integer("d_b", d_b, 2)
     c = np.asarray(c)
     if c.shape != (d_a**2, d_b**2):
         raise DimensionMismatchError(f"Bloch matrix shape {c.shape} != (d_a^2, d_b^2) = {(d_a**2, d_b**2)}")

@@ -86,7 +86,7 @@ def test_generalized_basis_rejects_small_d():
 
 @pytest.mark.parametrize("d_a", [2.0, 2.5, True])
 def test_bloch_rejects_non_integer_dimensions(d_a):
-    # the shape check refuses them before any basis is built
+    # the dimension check refuses them before any basis is built
     with pytest.raises(ValueError, match=f"d_a must be an integer, got {d_a!r}"):
         bloch_decompose(np.eye(4) / 4, d_a, 2)
 
@@ -155,6 +155,11 @@ def test_bloch_matrix_blocks_are_traces():
                  r"matrix dim 4 != d_a\*d_b = 6", id="decompose-bases"),
     pytest.param(lambda: bloch_compose(np.zeros((4, 4)), 2.0, 2), ValueError,
                  r"^d_a must be an integer, got 2\.0$", id="compose-float"),
+    # a one-dimensional factor is refused under its own name, before any basis is built
+    pytest.param(lambda: bloch_decompose(np.eye(2) / 2, 1, 2), ValueError,
+                 r"^need d_a >= 2, got 1$", id="decompose-one"),
+    pytest.param(lambda: bloch_compose(np.zeros((4, 1)), 2, 1), ValueError,
+                 r"^need d_b >= 2, got 1$", id="compose-one"),
     # an a block C[1:, 0] of 2 entries, and a (3, 8) c block C[1:, 1:], for 2x2
     pytest.param(lambda: bloch_compose(np.zeros((3, 4)), 2, 2), DimensionMismatchError,
                  r"^Bloch matrix shape \(3, 4\) != \(d_a\^2, d_b\^2\) = \(4, 4\)$", id="compose-a"),
