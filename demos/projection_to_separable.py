@@ -42,12 +42,12 @@ print(f"  max|nearest - rho_1/3| = {np.max(np.abs(nearest.matrix - ref.matrix)):
 # The maximal generalized-Bell-inequality violation of a state equals its
 # Hilbert-Schmidt distance to the separable set.  bnt_check takes the
 # distance D from the projection and the violation B from the witness built
-# at the projected point.  B is not an independent second estimate: that
-# witness is an affine image of the projection's last oracle operator, and
-# B's minimum over product states comes from the same oracle, seed and
-# starts, so B = D - gap/(2D) whenever the oracle finds that minimum again.
-# D = B checks the projection's bookkeeping (its gap, weights and nearest
-# state), not the oracle.
+# at the projected point.  That witness is an affine image of the
+# projection's last oracle operator, so B = D - g/(2D) for the gap g that
+# B's own product-state search (32 starts, another seed) finds there.  D = B
+# checks the projection's bookkeeping (its gap, weights and nearest state)
+# and, through that second search, whether the projection's oracle missed
+# a lower product state.
 for d, a in [(2, 0.9), (3, 1.0)]:
     report = bnt_check(isotropic(d, a))
     print(f"\nisotropic({d}, {a}):")

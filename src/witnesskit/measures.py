@@ -22,6 +22,10 @@ from .witness import SolverConfig, min_over_separable, witness_candidate
 
 #: Frank-Wolfe iterations before the projection gives up with ProjectionError
 MAX_OUTER_ITERS = 5000
+#: B's product-state search in ``bnt_report`` runs ``SolverConfig``'s default
+#: starts from the projection's seed plus this offset, so it does not repeat
+#: the projection's last oracle call
+VIOLATION_SEED_OFFSET = 12345
 
 
 @dataclass(frozen=True)
@@ -208,13 +212,18 @@ def gbi_violation(
 
 def bnt_report(target: DensityMatrix, mr: MeasureResult, cfg: SolverConfig) -> BntReport:
     """Compare the projection's distance D with the maximal Bell-inequality
-    violation B of the witness built at its nearest state.  When D is at
-    rounding level (``TAU_EIG``), as for a pure product target, or D^2 is
-    within the gap certificate, which then cannot exclude D = 0, the
-    difference to the target is no witness direction, and B = 0."""
+    violation B of the witness built at its nearest state.  B's search is
+    its own: ``SolverConfig``'s starts, ``cfg.max_iters`` and the seed
+    ``cfg.seed + VIOLATION_SEED_OFFSET``.  B = D - g / (2 D) for the gap g
+    that search finds at the nearest state, so a D that the projection's
+    oracle left too high shows in the discrepancy.  When D is at rounding
+    level (``TAU_EIG``), as for a pure product target, or D^2 is within the
+    gap certificate, which then cannot exclude D = 0, the difference to the
+    target is no witness direction, and B = 0."""
     b = 0.0
     if mr.distance > TAU_EIG and mr.distance**2 > mr.gap_certificate:
-        b = gbi_violation(target, witness_candidate(mr.nearest.to_density(), target), cfg)
+        own = SolverConfig(max_iters=cfg.max_iters, seed=cfg.seed + VIOLATION_SEED_OFFSET)
+        b = gbi_violation(target, witness_candidate(mr.nearest.to_density(), target), own)
     return BntReport(mr.distance, b, abs(mr.distance - b), mr)
 
 

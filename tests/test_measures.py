@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from witnesskit import measures
-from witnesskit.linalg import hs_inner, hs_norm
+from witnesskit.linalg import hs_inner, hs_norm, partial_transpose
 from witnesskit.measures import (
     MeasureResult,
     ProjectionConfig,
@@ -143,11 +144,81 @@ def test_bnt_check_distance_equals_violation(d, alpha):
     closed = hs_measure_isotropic(d, alpha)
     assert report.d_value == pytest.approx(closed, abs=5e-4)
     assert report.discrepancy <= 5e-4
-    # B is not independent of D: the witness at the nearest state is an affine image
-    # of the certifying oracle operator 2 (rho - target), whose minimum over product
-    # states is -gap / (2 D), so B = D - gap / (2 D) when the oracle finds that minimum
+    # the witness at the nearest state is an affine image of the certifying oracle
+    # operator 2 (rho - target), so B = D - g / (2 D) for the gap g that B's own
+    # search finds; on these targets it finds the projection's minimum, g = gap
     mr = report.measure
     assert abs(report.b_value - (mr.distance - mr.gap_certificate / (2 * mr.distance))) <= 1e-12
+
+
+def horodecki_2x4(b):
+    """P. Horodecki's PPT-entangled state on C^2 x C^4, 0 < b < 1 (Phys.
+    Lett. A 232, 333 (1997))."""
+    m = b * np.eye(8)
+    m[4, 4] = m[7, 7] = (1 + b) / 2
+    m[4, 7] = m[7, 4] = np.sqrt(1 - b * b) / 2
+    for i in range(3):
+        m[i, i + 5] = m[i + 5, i] = b
+    return DensityMatrix(m / (7 * b + 1), 2, 4)
+
+
+def npt19():
+    """A 2 x 3 NPT state: two Haar-random pure states with Dirichlet weights
+    at purity 0.9 plus white noise, drawn from default_rng(19) until its
+    partial transpose has an eigenvalue below -1e-6."""
+    rng = np.random.default_rng(19)
+    while True:
+        m = np.zeros((6, 6), dtype=complex)
+        for w in rng.dirichlet(np.ones(2)):
+            v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            v /= np.linalg.norm(v)
+            m += w * np.outer(v, v.conj())
+        target = DensityMatrix(0.9 * m + 0.1 * np.eye(6) / 6, 2, 3)
+        if np.linalg.eigvalsh(partial_transpose(target.matrix, 2, 3))[0] < -1e-6:
+            return target
+
+
+def assert_violation_bounds_distance_error(report, d_ref):
+    """discrepancy >= (D^2 - D_ref^2) / (2 D) - 1e-12, written without the
+    division.  B = D - g / (2 D) for the gap g that B's search finds at the
+    nearest state, and g >= D^2 - D*^2 when that search finds the global
+    minimum, so a D above the true distance shows in the discrepancy."""
+    d = report.d_value
+    assert 2 * d * report.discrepancy >= d**2 - d_ref**2 - 2 * d * 1e-12
+
+
+# D_ref from 1,024 starts and, for npt19, the PPT dual (exact in 2 x 3); the
+# projection's 8-start oracle leaves both D too high by more than its gap
+@pytest.mark.parametrize("target, d_ref", [
+    pytest.param(horodecki_2x4(0.2), 0.0074991328, id="horodecki-2x4"),
+    pytest.param(npt19(), 0.0969975392, id="npt19"),
+])
+def test_bnt_discrepancy_exposes_a_distance_too_high(target, d_ref):
+    assert_violation_bounds_distance_error(bnt_check(target), d_ref)
+
+
+# |Phi+>, |Phi->, |Psi+>, |Psi-> as the rows
+BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bnt_check_of_bell_diagonal_states(seed):
+    # rho = sum_i lambda_i |Phi_i><Phi_i| is at distance (2/sqrt 3) max(0,
+    # lambda_max - 1/2) from the separable set, the separable Bell-diagonal
+    # states being those with every lambda_i <= 1/2 (R. & M. Horodecki, PRA
+    # 54, 1838 (1996)); a local unitary u_A x u_B keeps the distance
+    rng = np.random.default_rng(seed)
+    lam = rng.dirichlet(np.ones(4))
+    d_ref = 2 / np.sqrt(3) * max(0.0, lam.max() - 0.5)
+    rho = np.einsum("k,ka,kb->ab", lam, BELL, BELL)
+    u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    for m in (rho, u @ rho @ u.conj().T):
+        report = bnt_check(DensityMatrix(m, 2, 2))
+        mr = report.measure
+        assert mr.converged
+        assert -1e-15 <= mr.distance**2 - d_ref**2 <= mr.gap_certificate + 1e-15
+        assert_violation_bounds_distance_error(report, d_ref)
 
 
 @pytest.mark.parametrize("tol_gap", [0.0, -1e-9, float("nan"), float("inf")])
