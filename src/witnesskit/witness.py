@@ -91,26 +91,26 @@ def min_over_separable(
     """Global minimum of <psi x phi| a |psi x phi> over unit vectors.
 
     By linearity this is the minimum of <rho, a> over all separable rho,
-    attained at a pure product state.  All starts run as stacked arrays,
-    and every start steps until all have stopped.  Each iteration takes one
-    alternating step (for fixed phi the optimal psi is the minimal
-    eigenvector of the contracted d_a x d_a operator, and symmetrically),
-    then a damped Newton step (``_newton_step``) proposes where the next one
-    starts; it crosses the flat valleys where alternating steps crawl.  A
-    proposal that would raise the value is dropped for a plain alternating
-    step.  A start has converged once a step lowers its value by less than
-    ``TOL_CONV``, if that step began at a proposal or the Newton model
-    predicts no larger decrease.  Starts still running when
-    ``cfg.max_iters`` runs out take part with the value they reached; if
-    none has converged, ``SolverError`` carries the best value seen.
+    attained at a pure product state.  All starts run as stacked arrays.
+    Each iteration takes one alternating step (for fixed phi the optimal psi
+    is the minimal eigenvector of the contracted d_a x d_a operator, and
+    symmetrically), then a damped Newton step (``_newton_step``) proposes
+    where the next one starts; it crosses the flat valleys where alternating
+    steps crawl.  A proposal that would raise the value is dropped for a
+    plain alternating step.  A start has converged once a step lowers its
+    value by less than ``TOL_CONV``, if that step began at a proposal
+    or the Newton model predicts no larger decrease.  Starts still running
+    when ``cfg.max_iters`` runs out take part with the value they reached;
+    if none has converged, ``SolverError`` carries the best value seen.
+    Every start steps until all have stopped.
 
     Returns ``(value, (psi, phi))``, the value being the Rayleigh value of
     the returned unit vectors.  ``extra_starts`` may supply additional
     initial phi vectors (e.g. warm starts), each of length d_b with a finite
     nonzero norm.  With ``every_start`` it returns the endpoints of all
-    starts instead, in stable order of value, as ``(values, (psis, phis))``;
-    row 0 is the minimizer above.  Other extra starts, and entries so large
-    that the arithmetic overflows, raise ``ValueError``.
+    starts instead, in value order, as ``(values, (psis, phis))``; row 0 is
+    the minimizer above.  Other extra starts, and entries so large that the
+    arithmetic overflows, raise ``ValueError``.
     """
     m = require_hermitian(as_bipartite(a, d_a, d_b))
     starts = np.asarray(extra_starts, dtype=complex)
