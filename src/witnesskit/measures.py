@@ -1,15 +1,15 @@
 """Hilbert-Schmidt distance machinery: closed forms for isotropic states,
 a projection onto the separable set by one Wolfe nearest-point loop (its
-iterate a ``ProductEnsemble``, its major cycle the product-state oracle,
-whose endpoints from every start may all enter, its minor cycle an exact
-weight step on the atoms' Gram matrix, built once per iteration; each
-endpoint's <x|target|x> and the Frank-Wolfe gaps of all atoms come from
-the oracle's values and that Gram matrix), the generalized Bell inequality
-violation and the distance-equals-violation equality check.
+iterate a ``ProductEnsemble`` that starts empty, its major cycle the
+product-state oracle, warm-started after its first call, whose endpoints
+from every start may all enter, its minor cycle an exact weight step on
+the atoms' Gram matrix), the generalized Bell inequality violation and the
+distance-equals-violation equality check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -32,8 +32,8 @@ VIOLATION_SEED_OFFSET = 12345
 class ProjectionConfig(SolverConfig):
     """Settings for the Frank-Wolfe projection onto the separable set: those
     of the product-state minimizer of its linear subproblem, with fewer
-    starts than the standalone default because each call is warm-started,
-    and a positive finite gap tolerance."""
+    starts than the standalone default because each call after the first
+    is warm-started, and a positive finite gap tolerance."""
 
     n_starts: int = 8
     tol_gap: float = 1e-9
@@ -136,18 +136,20 @@ def nearest_separable(
     Jaggi, NeurIPS 2015) over the pure product states.
 
     The iterate is a ``ProductEnsemble`` of pure product states
-    x_i = psi_i (x) phi_i with weights w.  With c_i = <x_i|target|x_i> and
-    G_ij = |<x_i|x_j>|^2 = |<psi_i|psi_j>|^2 |<phi_i|phi_j>|^2 the squared
-    distance is w^T G w - 2 c^T w plus a constant, and an atom's value under
-    grad = 2 (rho - target) is <x_j|grad|x_j> = 2 g_j, g = G w - c.  Each
-    step is a major cycle: the product-state oracle (the witness-side
-    solver) minimizes that value from every start; its endpoints join the
-    atoms at weight 0, with c_j = (G w)_j - v_j / 2 read off their values
-    v_j.  The gap 2 (w.g - g_j) of the oracle's minimizer certifies the
-    squared distance; the loop stops on it below ``cfg.tol_gap``, or at
-    ``MAX_OUTER_ITERS``, before the weights move, so distance, ensemble and
-    gap belong to one iterate.  Otherwise each endpoint, in order of value,
-    whose gap is still >= ``cfg.tol_gap`` enters: the minor cycle
+    x_i = psi_i (x) phi_i with weights w, at first empty.  With c_i =
+    <x_i|target|x_i> and G_ij = |<x_i|x_j>|^2 = |<psi_i|psi_j>|^2
+    |<phi_i|phi_j>|^2 the squared distance is w^T G w - 2 c^T w plus a
+    constant, and an atom's value under grad = 2 (rho - target) is
+    <x_j|grad|x_j> = 2 g_j, g = G w - c.  Each step is a major cycle: the
+    product-state oracle, warm-started after its first call, minimizes that
+    value from every start; its endpoints join the atoms at weight 0, with
+    c_j = (G w)_j - v_j / 2 read off their values v_j.  The gap
+    2 (w.g - g_j) of the oracle's minimizer, clipped at 0, certifies the
+    squared distance; once an atom has entered, the loop stops on it below
+    ``cfg.tol_gap``, or at ``MAX_OUTER_ITERS``, before the weights move, so
+    distance, ensemble and gap belong to one iterate.  Otherwise each
+    endpoint, in order of value, whose gap is still >= ``cfg.tol_gap``
+    enters, and so does the first cycle's minimizer: the minor cycle
     (``_corrective_weights``) re-optimizes the weights exactly and the gaps
     are recomputed.  The atoms left with weight > 0 are the next iterate.
     """
@@ -155,43 +157,41 @@ def nearest_separable(
     if 1 in (d_a, d_b):
         raise ValueError("projection needs a bipartite state")
 
-    # initial atom: product state most aligned with the target, c = <x|target|x> = -value
-    value, (psi, phi) = min_over_separable(-target.matrix, d_a, d_b, cfg)
-    ensemble, lin = ProductEnsemble(np.ones(1), psi[None], phi[None]), np.array([-value])
-    last_phi = phi
-    for it in range(1, MAX_OUTER_ITERS + 1):
-        rho = ensemble.to_matrix()
+    w, lin, psis, phis = np.empty(0), np.empty(0), np.empty((0, d_a)), np.empty((0, d_b))
+    rho, v_phis = 0.0, phis  # the last call's minimizer is the warm start; none at first
+    for it in itertools.count(1):
         v_vals, (v_psis, v_phis) = min_over_separable(
-            2 * (rho - target.matrix), d_a, d_b, cfg, (last_phi,), every_start=True
+            2 * (rho - target.matrix), d_a, d_b, cfg, v_phis[:1], every_start=True
         )
-        last_phi = v_phis[0]
-        k = len(ensemble.weights)
-        psis, phis = np.vstack([ensemble.psis, v_psis]), np.vstack([ensemble.phis, v_phis])
-        w = np.append(ensemble.weights, np.zeros(len(v_vals)))
+        k = len(w)
+        psis, phis = np.vstack([psis, v_psis]), np.vstack([phis, v_phis])
+        w = np.append(w, np.zeros(len(v_vals)))
         gram = np.abs(psis.conj() @ psis.T) ** 2 * np.abs(phis.conj() @ phis.T) ** 2
         lin = np.append(lin, gram[k:] @ w - v_vals / 2)  # v_j = <x_j|grad|x_j> = 2 (G w - c)_j
         gaps = _gaps(gram, lin, w)
         gap = gaps[k]
-        if gap < cfg.tol_gap or it == MAX_OUTER_ITERS:
+        if k and (gap < cfg.tol_gap or it >= MAX_OUTER_ITERS):
             break
         for j in range(k, len(w)):
-            if gaps[j] >= cfg.tol_gap:
+            if gaps[j] >= cfg.tol_gap or j == 0:  # the empty iterate takes the best endpoint
                 w = _corrective_weights(gram, lin, w, j)
                 gaps = _gaps(gram, lin, w)
         keep = w > 0
-        ensemble, lin = ProductEnsemble(w[keep], psis[keep], phis[keep]), lin[keep]
+        ensemble = ProductEnsemble(w[keep], psis[keep], phis[keep])
+        w, lin, psis, phis = ensemble.weights, lin[keep], ensemble.psis, ensemble.phis
+        rho = ensemble.to_matrix()
 
     result = MeasureResult(
         distance=hs_norm(rho - target.matrix),
         nearest=ensemble,
-        gap_certificate=float(gap),
+        gap_certificate=max(float(gap), 0.0),
         iterations=it,
         converged=bool(gap < cfg.tol_gap),
     )
     if not result.converged:
         raise ProjectionError(
             f"projection gap {gap:.3e} above tolerance {cfg.tol_gap:.1e} after "
-            f"{MAX_OUTER_ITERS} iterations",
+            f"{it} iterations",
             result,
         )
     return result

@@ -475,6 +475,24 @@ def test_separable_target_row(capsys, command, d, alpha):
     assert values["converged"] == "true"
 
 
+def test_measure_with_a_loose_gap_tolerance(capsys):
+    # a tolerance above every gap still projects: the first atom enters regardless
+    code, out, err = run_cli(capsys, "measure", "--d", "2", "--alpha", "0.8", "--tol-gap", "10")
+    assert code == 0 and err == ""
+    header, row = out.strip().splitlines()
+    values = dict(zip(RESULT_COLUMNS, row.split(",")))
+    assert values["converged"] == "true" and float(values["gap"]) < 10
+
+
+@pytest.mark.parametrize("alpha,seed", [("0.9", "3"), ("1.0", "0")])
+def test_gap_is_never_negative(capsys, alpha, seed):
+    # a gap is >= 0; rounding in the Gram-matrix formula can leave it at about -1e-16
+    code, out, _ = run_cli(capsys, "bnt", "--d", "3", "--alpha", alpha, "--seed", seed)
+    assert code == 0
+    values = dict(zip(RESULT_COLUMNS, out.strip().splitlines()[1].split(",")))
+    assert float(values["gap"]) >= 0.0
+
+
 @pytest.mark.parametrize("argv", [("bnt", "--d", "3000", "--alpha", "0.5"),
                                   ("witness-check", "--d", "2000", "--alpha", "0.8")])
 def test_input_too_large_to_allocate(capsys, argv):

@@ -113,6 +113,14 @@ def test_projection_error_reports_one_iterate(monkeypatch, d):
     assert res.gap_certificate == pytest.approx(hs_inner(rho, grad).real - sep_min, abs=1e-9)
 
 
+def test_projection_starts_from_the_best_endpoint_whatever_the_tolerance():
+    # the iterate starts empty: the first oracle call's best endpoint enters
+    # even when its gap is below tol_gap, and the stop test waits for it
+    res = nearest_separable(isotropic(2, 0.8), ProjectionConfig(tol_gap=10.0))
+    assert res.converged and len(res.nearest.weights) >= 1
+    assert 0 <= res.gap_certificate < 10.0
+
+
 def test_nearest_ensemble_is_valid_convex_combination():
     res = nearest_separable(isotropic(2, 0.6))
     weights = [w for w, _, _ in res.nearest.terms]
