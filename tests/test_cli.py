@@ -479,7 +479,7 @@ def test_measure_with_a_loose_gap_tolerance(capsys):
     # a tolerance above every gap still projects: the first atom enters regardless
     code, out, err = run_cli(capsys, "measure", "--d", "2", "--alpha", "0.8", "--tol-gap", "10")
     assert code == 0 and err == ""
-    header, row = out.strip().splitlines()
+    _, row = out.strip().splitlines()
     values = dict(zip(RESULT_COLUMNS, row.split(",")))
     assert values["converged"] == "true" and float(values["gap"]) < 10
 
