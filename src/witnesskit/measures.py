@@ -160,9 +160,7 @@ def nearest_separable(
     w, lin, psis, phis = np.empty(0), np.empty(0), np.empty((0, d_a)), np.empty((0, d_b))
     rho, v_phis = 0.0, phis  # the last call's minimizer is the warm start; none at first
     for it in itertools.count(1):
-        v_vals, (v_psis, v_phis) = min_over_separable(
-            2 * (rho - target.matrix), d_a, d_b, cfg, v_phis[:1], every_start=True
-        )
+        v_vals, v_psis, v_phis = min_over_separable(2 * (rho - target.matrix), d_a, d_b, cfg, v_phis[:1])
         k = len(w)
         psis, phis = np.vstack([psis, v_psis]), np.vstack([phis, v_phis])
         w = np.append(w, np.zeros(len(v_vals)))
@@ -206,7 +204,7 @@ def gbi_violation(
     For the optimal witness this is the maximal violation, which equals the
     Hilbert-Schmidt measure.
     """
-    sep_min, _ = min_over_separable(witness_op, target.d_a, target.d_b, cfg)
+    sep_min = float(min_over_separable(witness_op, target.d_a, target.d_b, cfg)[0][0])
     return sep_min - hs_inner(target.matrix, witness_op).real
 
 

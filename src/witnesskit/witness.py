@@ -85,8 +85,6 @@ def min_over_separable(
     d_b: int,
     cfg: SolverConfig = SolverConfig(),
     extra_starts=(),
-    *,
-    every_start: bool = False,
 ):
     """Global minimum of <psi x phi| a |psi x phi> over unit vectors.
 
@@ -102,14 +100,13 @@ def min_over_separable(
     or the Newton model predicts no larger decrease.  Starts still running
     when ``cfg.max_iters`` runs out take part with the value they reached;
     if none has converged, ``SolverError`` carries the best value seen.
-    Every start steps until all have stopped.
 
-    Returns ``(value, (psi, phi))``, the value being the Rayleigh value of
-    the returned unit vectors.  ``extra_starts`` may supply additional
-    initial phi vectors (e.g. warm starts), each of length d_b with a finite
-    nonzero norm.  With ``every_start`` it returns the endpoints of all
-    starts instead, in value order, as ``(values, (psis, phis))``; row 0 is
-    the minimizer above.  Other extra starts, and entries so large that the
+    Returns every start's endpoint as ``(values, psis, phis)``, one row per
+    start (the extra starts, then ``cfg.n_starts`` random ones) in stable
+    order of value: row 0 is the minimum and its minimizer, and each value
+    is the Rayleigh value of its row's unit vectors.  ``extra_starts`` may
+    supply initial phi vectors (e.g. warm starts), each of length d_b with a
+    finite nonzero norm; other extra starts, and entries so large that the
     arithmetic overflows, raise ``ValueError``.
     """
     m = require_hermitian(as_bipartite(a, d_a, d_b))
@@ -120,18 +117,15 @@ def min_over_separable(
         raise ValueError(f"extra_starts must be vectors of length {d_b} with finite nonzero norm")
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            value, psi, phi = _multistart(m, d_a, d_b, cfg, starts.reshape(-1, d_b))
+            return _multistart(m, d_a, d_b, cfg, starts.reshape(-1, d_b))
     except FloatingPointError as exc:
         raise ValueError(f"operator too large for the product-state solver ({exc})") from exc
-    if every_start:
-        return value, (psi, phi)
-    return float(value[0]), (psi[0], phi[0])
 
 
 def _multistart(m, d_a, d_b, cfg, extra_starts):
-    """Endpoints ``(values, psis, phis)`` of all starts of ``min_over_separable``,
-    ``extra_starts`` a (k, d_b) array, in stable order of value.  Every start
-    steps until all have stopped; a stopped start's step is discarded."""
+    """The endpoints ``(values, psis, phis)`` that ``min_over_separable``
+    returns, row 0 the minimum, ``extra_starts`` being a (k, d_b) array.
+    Every start steps until all have stopped; a stopped one's step is dropped."""
     a4 = m.reshape(d_a, d_b, d_a, d_b)
     z = np.random.default_rng(cfg.seed).standard_normal((cfg.n_starts, 2, d_b))
     phi = np.concatenate([extra_starts, z[:, 0] + 1j * z[:, 1]])
@@ -234,7 +228,7 @@ def verify_nearest_separable(
     """
     op = witness_candidate(guess, target)
     ent = hs_inner(target.matrix, op).real
-    sep_min, _ = min_over_separable(op, target.d_a, target.d_b, cfg)
+    sep_min = float(min_over_separable(op, target.d_a, target.d_b, cfg)[0][0])
     is_witness = ent < -TAU_WIT and sep_min >= -TAU_WIT
     return WitnessReport(ent, sep_min, is_witness, is_witness and abs(sep_min) <= TAU_WIT)
 

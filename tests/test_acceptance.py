@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-from witnesskit.bases import generalized_basis
 from witnesskit.linalg import hs_inner, hs_norm
 from witnesskit.measures import bnt_check, hs_measure_isotropic
 from witnesskit.states import (
@@ -28,21 +27,12 @@ from witnesskit.witness import (
     witness_candidate,
 )
 
+from operators import lambda_operator, sigma_operator
+
 
 def report(name, ok):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}")
     assert ok
-
-
-def sigma_operator():
-    sx, sy, sz = generalized_basis(2)
-    return np.kron(sx, sx) - np.kron(sy, sy) + np.kron(sz, sz)
-
-
-def lambda_operator():
-    lam = generalized_basis(3)
-    signs = [1, -1, 1, 1, -1, 1, -1, 1]
-    return sum(s * np.kron(g, g) for s, g in zip(signs, lam))
 
 
 def test_criterion_01_qubit_witness_closed_form():
@@ -81,7 +71,7 @@ def test_criterion_04_tangency():
     ok = True
     for d in (2, 3, 4):
         a_opt = optimal_witness_isotropic(d, 1.0)
-        value, _ = min_over_separable(a_opt, d, d, SolverConfig(n_starts=64, seed=0))
+        value = min_over_separable(a_opt, d, d, SolverConfig(n_starts=64, seed=0))[0][0]
         ok &= abs(value) <= 1e-7
         ok &= abs(hs_inner(isotropic(d, 1 / (d + 1)).matrix, a_opt)) <= 1e-12
     report("criterion 4: optimal witness tangent to the separable set", ok)

@@ -270,6 +270,22 @@ def test_json_output_types(capsys):
     row = payload[0]
     assert row["separable"] is False
     assert row["D"] == pytest.approx(2 * np.sqrt(2) / 3 * 0.25)
+    # rows whose flags and numbers come from the library's results: JSON
+    # booleans, JSON integers for d and iters, and a float in every other field
+    cases = [
+        ("witness-check --d 3 --alpha 0.8", {"is_witness": True, "is_optimal": True}, {"d"}),
+        ("witness-check --d 3 --alpha 0.8 --guess-alpha 0.0",
+         {"is_witness": False, "is_optimal": False}, {"d"}),
+        ("bnt --d 2 --alpha 0.8", {"converged": True}, {"d", "iters"}),
+    ]
+    for args, flags, ints in cases:
+        code, out, _ = run_cli(capsys, *args.split(), "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)
+        assert all(row[key] is value for key, value in flags.items())
+        assert all(type(row[key]) is int for key in ints)
+        floats = row.keys() - flags.keys() - ints
+        assert len(floats) >= 3 and all(type(row[key]) is float for key in floats)
 
 
 def test_output_file(tmp_path, capsys):

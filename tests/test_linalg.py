@@ -15,12 +15,9 @@ from witnesskit.bases import bloch_decompose, generalized_basis
 from witnesskit.states import DensityMatrix, max_entangled
 from witnesskit.witness import min_over_separable
 
+from operators import random_hermitian
+
 SX, SY, SZ = generalized_basis(2)
-
-
-def random_hermitian(rng, d):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (z + z.conj().T) / 2
 
 
 # the library takes tensor products with np.kron and eigendecompositions with

@@ -95,7 +95,7 @@ def test_projection_error_carries_partial_result(monkeypatch):
     res = info.value.result
     assert not res.converged and res.iterations == 2
     assert res.gap_certificate >= ProjectionConfig().tol_gap
-    assert sum(w for w, _, _ in res.nearest.terms) == pytest.approx(1.0, abs=1e-12)
+    assert res.nearest.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -109,7 +109,7 @@ def test_projection_error_reports_one_iterate(monkeypatch, d):
     rho = res.nearest.to_matrix()
     assert res.distance == hs_norm(rho - target.matrix)
     grad = 2 * (rho - target.matrix)
-    sep_min, _ = min_over_separable(grad, d, d, SolverConfig(n_starts=64))
+    sep_min = min_over_separable(grad, d, d, SolverConfig(n_starts=64))[0][0]
     assert res.gap_certificate == pytest.approx(hs_inner(rho, grad).real - sep_min, abs=1e-9)
 
 
@@ -123,7 +123,7 @@ def test_projection_starts_from_the_best_endpoint_whatever_the_tolerance():
 
 def test_nearest_ensemble_is_valid_convex_combination():
     res = nearest_separable(isotropic(2, 0.6))
-    weights = [w for w, _, _ in res.nearest.terms]
+    weights = res.nearest.weights
     assert sum(weights) == pytest.approx(1.0)
     assert all(w > 0 for w in weights)
 
@@ -362,7 +362,7 @@ def test_nearest_separable_non_isotropic_2x3():
     assert not is_ppt(target)
     res = nearest_separable(target)
     assert res.converged and res.gap_certificate < ProjectionConfig().tol_gap
-    weights = np.array([w for w, _, _ in res.nearest.terms])
+    weights = res.nearest.weights
     assert np.all(weights > 0)
     assert abs(weights.sum() - 1) <= 1e-12
     # PPT is separability at 2x3, so the nearest state must be PPT
@@ -372,8 +372,8 @@ def test_nearest_separable_non_isotropic_2x3():
 def _assert_optimal_weights(res, target):
     """The final weights sum to 1 and are optimal on their atoms: equal
     gradients (G w - c)_i."""
-    weights = np.array([w for w, _, _ in res.nearest.terms])
-    x = np.array([np.kron(psi, phi) for _, psi, phi in res.nearest.terms])
+    weights = res.nearest.weights
+    x = np.array([np.kron(psi, phi) for psi, phi in zip(res.nearest.psis, res.nearest.phis)])
     gram = np.abs(x.conj() @ x.T) ** 2
     lin = np.einsum("ka,ab,kb->k", x.conj(), target.matrix, x).real
     assert abs(weights.sum() - 1) <= 1e-12

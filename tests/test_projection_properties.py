@@ -28,7 +28,7 @@ def test_projection_of_npt_states(seed, d_b):
     target = npt_state(seed, d_b)
     res = nearest_separable(target)
     assert res.converged and res.gap_certificate < ProjectionConfig().tol_gap
-    weights = np.array([w for w, _, _ in res.nearest.terms])
+    weights = res.nearest.weights
     assert abs(weights.sum() - 1) <= 1e-12
     # PPT is separability in 2x2 and 2x3
     assert is_ppt(res.nearest.to_density())

@@ -17,16 +17,7 @@ from witnesskit.witness import (
     witness_candidate,
 )
 
-
-def sigma_operator():
-    sx, sy, sz = generalized_basis(2)
-    return np.kron(sx, sx) - np.kron(sy, sy) + np.kron(sz, sz)
-
-
-def lambda_operator():
-    lam = generalized_basis(3)
-    signs = [1, -1, 1, 1, -1, 1, -1, 1]
-    return sum(s * np.kron(g, g) for s, g in zip(signs, lam))
+from operators import lambda_operator, random_hermitian, sigma_operator
 
 
 def test_norm_constants():
@@ -98,7 +89,8 @@ def test_min_over_separable_rejects_bad_extra_start(start):
 
 
 def test_min_over_separable_identity():
-    value, (psi, phi) = min_over_separable(np.eye(4), 2, 2, SolverConfig(n_starts=4))
+    values, psis, phis = min_over_separable(np.eye(4), 2, 2, SolverConfig(n_starts=4))
+    value, psi, phi = values[0], psis[0], phis[0]
     assert value == pytest.approx(1.0)
     assert np.linalg.norm(psi) == pytest.approx(1.0)
     assert np.linalg.norm(phi) == pytest.approx(1.0)
@@ -106,14 +98,14 @@ def test_min_over_separable_identity():
 
 def test_min_over_separable_diagonal():
     sz = generalized_basis(2)[2]
-    value, (psi, phi) = min_over_separable(np.kron(sz, sz), 2, 2)
+    value = min_over_separable(np.kron(sz, sz), 2, 2)[0][0]
     assert value == pytest.approx(-1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_min_over_separable_tangency(d):
     a_opt = optimal_witness_isotropic(d, 1.0)
-    value, _ = min_over_separable(a_opt, d, d, SolverConfig(n_starts=64, seed=0))
+    value = min_over_separable(a_opt, d, d, SolverConfig(n_starts=64, seed=0))[0][0]
     assert abs(value) <= 1e-7
 
 
@@ -121,8 +113,8 @@ def test_min_over_separable_monotone_in_starts():
     rng = np.random.default_rng(21)
     z = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
     a = (z + z.conj().T) / 2
-    v8, _ = min_over_separable(a, 3, 3, SolverConfig(n_starts=8, seed=0))
-    v32, _ = min_over_separable(a, 3, 3, SolverConfig(n_starts=32, seed=0))
+    v8 = min_over_separable(a, 3, 3, SolverConfig(n_starts=8, seed=0))[0][0]
+    v32 = min_over_separable(a, 3, 3, SolverConfig(n_starts=32, seed=0))[0][0]
     assert v32 <= v8 + 1e-10
 
 
@@ -130,14 +122,10 @@ def test_min_over_separable_returns_attained_value():
     rng = np.random.default_rng(22)
     z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     a = (z + z.conj().T) / 2
-    value, (psi, phi) = min_over_separable(a, 2, 3)
+    values, psis, phis = min_over_separable(a, 2, 3)
+    value, psi, phi = values[0], psis[0], phis[0]
     x = np.kron(psi, phi)
     assert np.vdot(x, a @ x).real == pytest.approx(value, abs=1e-9)
-
-
-def random_hermitian(rng, dim):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (z + z.conj().T) / 2
 
 
 def random_unit(rng, d):
@@ -222,7 +210,7 @@ def test_min_over_separable_against_bloch_grid(d_b, seed):
     # every Bloch vector lies within the grid's covering radius of a node.
     rng = np.random.default_rng(seed)
     a = random_hermitian(rng, 2 * d_b)
-    value, _ = min_over_separable(a, 2, d_b, SolverConfig(seed=seed))
+    value = min_over_separable(a, 2, d_b, SolverConfig(seed=seed))[0][0]
     theta = np.linspace(0, np.pi, 121)
     azimuth = np.linspace(0, 2 * np.pi, 240, endpoint=False)
     t, p = (g.ravel() for g in np.meshgrid(theta, azimuth))
@@ -240,25 +228,22 @@ def test_min_over_separable_against_bloch_grid(d_b, seed):
 def test_min_over_separable_budget_exhausted():
     rng = np.random.default_rng(32)
     a = random_hermitian(rng, 6)
-    best, _ = min_over_separable(a, 2, 3)
+    best = min_over_separable(a, 2, 3)[0][0]
     with pytest.raises(SolverError) as info:
         min_over_separable(a, 2, 3, SolverConfig(max_iters=1))
     assert np.isfinite(info.value.best_value)
     assert info.value.best_value >= best - 1e-12
 
 
-def test_min_over_separable_every_start():
+def test_min_over_separable_returns_every_endpoint():
     # the projection enters atoms from these rows and warm-starts from row 0
     rng = np.random.default_rng(33)
     a = random_hermitian(rng, 6)
     cfg = SolverConfig(n_starts=5)
     extra = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    values, (psis, phis) = min_over_separable(a, 2, 3, cfg, extra, every_start=True)
+    values, psis, phis = min_over_separable(a, 2, 3, cfg, extra)
     assert len(values) == len(psis) == len(phis) == cfg.n_starts + len(extra)
     assert np.all(np.diff(values) >= 0)
-    value, (psi, phi) = min_over_separable(a, 2, 3, cfg, extra)
-    assert values[0] == value
-    assert np.array_equal(psis[0], psi) and np.array_equal(phis[0], phi)
     x = np.array([np.kron(p, f) for p, f in zip(psis, phis)])
     rayleigh = np.einsum("ka,ab,kb->k", x.conj(), a, x).real
     assert np.max(np.abs(values - rayleigh)) <= 1e-12
@@ -273,13 +258,13 @@ def test_min_over_separable_endpoint_depends_only_on_its_start(d_a, d_b, seed):
     rng = np.random.default_rng(seed)
     a = random_hermitian(rng, d_a * d_b)
     e = random_unit(rng, d_b)
-    alone = min_over_separable(a, d_a, d_b, SolverConfig(n_starts=1), [e], every_start=True)
-    among = min_over_separable(a, d_a, d_b, SolverConfig(n_starts=8), [e], every_start=True)
+    alone = min_over_separable(a, d_a, d_b, SolverConfig(n_starts=1), [e])
+    among = min_over_separable(a, d_a, d_b, SolverConfig(n_starts=8), [e])
     assert len(alone[0]) == 2 and len(among[0]) == 9
     # rows come back in value order, so each is found by its whole endpoint
-    for value, psi, phi in zip(alone[0], *alone[1]):
-        dev = np.maximum.reduce([np.abs(among[0] - value), np.abs(among[1][0] - psi).max(axis=1),
-                                 np.abs(among[1][1] - phi).max(axis=1)])
+    for value, psi, phi in zip(*alone):
+        dev = np.maximum.reduce([np.abs(among[0] - value), np.abs(among[1] - psi).max(axis=1),
+                                 np.abs(among[2] - phi).max(axis=1)])
         assert dev.min() <= 1e-14
 
 
@@ -356,8 +341,8 @@ def test_witness_shift_invariance():
     kappa = 0.37
     shifted = a_opt + kappa * np.eye(4)
     cfg = SolverConfig(n_starts=16, seed=3)
-    v0, _ = min_over_separable(a_opt, 2, 2, cfg)
-    v1, _ = min_over_separable(shifted, 2, 2, cfg)
+    v0 = min_over_separable(a_opt, 2, 2, cfg)[0][0]
+    v1 = min_over_separable(shifted, 2, 2, cfg)[0][0]
     assert v1 - v0 == pytest.approx(kappa, abs=1e-9)
 
 
