@@ -32,6 +32,9 @@ class SolverError(RuntimeError):
 
 # Value decrease below which a start of ``min_over_separable`` has converged.
 TOL_CONV = 1e-12
+#: most random starts ``SolverConfig`` accepts; the solver allocates every
+#: start's arrays at once
+MAX_STARTS = 10**4
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,8 @@ class SolverConfig:
     def __post_init__(self):
         for name, low in (("n_starts", 1), ("max_iters", 1), ("seed", 0)):
             require_integer(name, getattr(self, name), low)
+        if self.n_starts > MAX_STARTS:
+            raise ValueError(f"need n_starts <= {MAX_STARTS}, got {self.n_starts}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,9 @@ def min_over_separable(
     steps crawl.  A proposal that would raise the value is dropped for a
     plain alternating step.  A start has converged once a step lowers its
     value by less than ``TOL_CONV``, if that step began at a proposal
-    or the Newton model predicts no larger decrease.  Starts still running
+    or the Newton model predicts no larger decrease; it then leaves the
+    stacked arrays.  Each start's endpoint depends on that start alone,
+    not on the other starts.  Starts still running
     when ``cfg.max_iters`` runs out take part with the value they reached;
     if none has converged, ``SolverError`` carries the best value seen.
 
@@ -125,39 +132,53 @@ def min_over_separable(
 def _multistart(m, d_a, d_b, cfg, extra_starts):
     """The endpoints ``(values, psis, phis)`` that ``min_over_separable``
     returns, row 0 the minimum, ``extra_starts`` being a (k, d_b) array.
-    Every start steps until all have stopped; a stopped one's step is dropped."""
-    a4 = m.reshape(d_a, d_b, d_a, d_b)
+    A start that stops writes its endpoint to its row and leaves the working
+    arrays, so each iteration steps only the starts still running."""
+    # a_ab[(i, j), (k, l)] = <i k|m|j l>: a half-step contracts m with phi
+    # (psi) as the product of conj(phi) x phi (conj(psi) x psi) with a_ba
+    # (a_ab), one row at a time, so that no row's rounding depends on the others
+    a_ab = m.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+    a_ba = a_ab.T
     z = np.random.default_rng(cfg.seed).standard_normal((cfg.n_starts, 2, d_b))
     phi = np.concatenate([extra_starts, z[:, 0] + 1j * z[:, 1]])
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
-    psi = np.empty((len(phi), d_a), dtype=complex)
-    value = np.full(len(phi), np.inf)
+    n = len(phi)
+    values, psis, phis = np.empty(n), np.empty((n, d_a), dtype=complex), np.empty_like(phi)
+    rows = np.arange(n)  # the output row of each running start
+    psi, value = np.empty_like(psis), np.full(n, np.inf)
     start = phi  # where each start's next psi half-step begins
-    plain = np.ones(len(phi), dtype=bool)  # start is phi, not a Newton proposal
-    length = np.ones(len(phi))  # scale of the next Newton step
-    running = np.ones(len(phi), dtype=bool)
+    plain = np.ones(n, dtype=bool)  # start is phi, not a Newton proposal
+    length = np.ones(n)  # scale of the next Newton step
     for _ in range(cfg.max_iters):
+        k = len(rows)
         # column 0 of each eigenvector stack is psi (phi), the rest span its complement
-        va = np.linalg.eigh(np.einsum("ikjl,sk,sl->sij", a4, start.conj(), start))[1]
-        w, vb = np.linalg.eigh(np.einsum("ikjl,si,sj->skl", a4, va[:, :, 0].conj(), va[:, :, 0]))
+        outer = (start.conj()[:, :, None] * start[:, None, :]).reshape(k, 1, -1)
+        va = np.linalg.eigh((outer @ a_ba).reshape(k, d_a, d_a))[1]
+        outer = (va[:, :, 0].conj()[:, :, None] * va[:, None, :, 0]).reshape(k, 1, -1)
+        w, vb = np.linalg.eigh((outer @ a_ab).reshape(k, d_b, d_b))
         w = w[:, 0]
-        ok = running & (plain | (w < value))  # the rows that take their step
+        ok = plain | (w < value)  # the rows that take their step
         length = np.where(plain, length, np.where(ok, np.minimum(2 * length, 1), length / 4))
         decrease = value - w
         psi, phi = np.where(ok[:, None], va[:, :, 0], psi), np.where(ok[:, None], vb[:, :, 0], phi)
         value = np.where(ok, w, value)
         proposal, predicted = _newton_step(m, va, vb, value, length)
         done = ok & (decrease < TOL_CONV) & ((predicted < TOL_CONV) | ~plain)
-        running &= ~done
-        plain = ~ok | done
+        plain = ~ok
+        if done.any():
+            stop, keep = rows[done], ~done
+            values[stop], psis[stop], phis[stop] = value[done], psi[done], phi[done]
+            rows, value, psi, phi, plain, length, proposal = (
+                x[keep] for x in (rows, value, psi, phi, plain, length, proposal))
+            if not len(rows):
+                break
         start = np.where(plain[:, None], phi, proposal)
-        if not running.any():
-            break
-    if running.all():
+    if len(rows) == n:
         raise SolverError(f"product-state solver did not converge in {cfg.max_iters} iterations",
                           float(value.min()))
-    order = np.argsort(value, kind="stable")
-    return value[order], psi[order], phi[order]
+    values[rows], psis[rows], phis[rows] = value, psi, phi
+    order = np.argsort(values, kind="stable")
+    return values[order], psis[order], phis[order]
 
 
 def _second_order(a, va, vb, value):
@@ -173,15 +194,16 @@ def _second_order(a, va, vb, value):
     ``hess`` refer to the real coordinates (Re w, Im w).
     """
     n, d_a, d_b = len(va), va.shape[1], vb.shape[1]
-    na, nb, dim = d_a - 1, d_b - 1, d_a * d_b
+    na, nb = d_a - 1, d_b - 1
     psi, phi, pa, pb = va[:, :, 0], vb[:, :, 0], va[:, :, 1:], vb[:, :, 1:]
-    y = np.einsum("ikjl,sj,sl->sik", a.reshape(d_a, d_b, d_a, d_b), psi, phi)
-    jac = np.concatenate([(pa[:, :, None, :] * phi[:, None, :, None]).reshape(n, dim, na),
-                          (psi[:, :, None, None] * pb[:, None, :, :]).reshape(n, dim, nb)],
-                         axis=2)
-    jh = jac.conj().transpose(0, 2, 1)
-    r = (jh @ y.reshape(n, dim, 1))[:, :, 0]
-    k = jh @ (a @ jac) - value[:, None, None] * np.eye(na + nb)
+    # the columns [|psi phi>, J]: va x phi holds |psi phi> and pa x phi
+    cols = np.concatenate([va[:, :, None, :] * phi[:, None, :, None],
+                           psi[:, :, None, None] * pb[:, None, :, :]], axis=3).reshape(n, d_a * d_b, -1)
+    a_cols = a @ cols
+    gram = cols.conj().transpose(0, 2, 1) @ a_cols  # row and column 0 hold <psi phi|a|psi phi> and r
+    gram.reshape(n, -1)[:, ::na + nb + 2] -= value[:, None]  # the diagonal, in place
+    r, k = gram[:, 1:, 0], gram[:, 1:, 1:]
+    y = a_cols[:, :, 0].reshape(n, d_a, d_b)
     c = np.zeros_like(k)
     c[:, :na, na:] = pa.transpose(0, 2, 1) @ y.conj() @ pb
     c[:, na:, :na] = c[:, :na, na:].transpose(0, 2, 1)
@@ -203,16 +225,18 @@ def _newton_step(a, va, vb, value, length):
     """
     grad, hess = _second_order(a, va, vb, value)
     lowest = np.linalg.eigvalsh(hess)
-    # the last term keeps the shift above rounding error in hess
-    mu = (np.maximum(-lowest[:, 0], 0) + np.linalg.norm(grad, axis=1)
-          + 1e-12 * np.abs(lowest).max(axis=1))
+    # the last term keeps the shift above rounding error in hess (lowest is
+    # ascending, so its largest magnitude is at one end)
+    mu = (np.maximum(-lowest[:, 0], 0) + np.sqrt((grad * grad).sum(axis=1))
+          + 1e-12 * np.maximum(-lowest[:, 0], lowest[:, -1]))
     mu[mu == 0] = 1.0
-    x = -np.linalg.solve(hess + mu[:, None, None] * np.eye(grad.shape[1]), grad[..., None])[..., 0]
+    hess.reshape(len(hess), -1)[:, ::hess.shape[1] + 1] += mu[:, None]  # the diagonal, in place
+    x = -np.linalg.solve(hess, grad[..., None])[..., 0]
     predicted = 0.5 * (mu * np.einsum("si,si->s", x, x) - np.einsum("si,si->s", grad, x))
     na, nb = va.shape[1] - 1, vb.shape[1] - 1
     v = x[:, na:na + nb] + 1j * x[:, 2 * na + nb:]
     proposal = vb[:, :, 0] + length[:, None] * (vb[:, :, 1:] @ v[:, :, None])[:, :, 0]
-    return proposal / np.linalg.norm(proposal, axis=1, keepdims=True), predicted
+    return proposal / np.sqrt((proposal.conj() * proposal).real.sum(axis=1, keepdims=True)), predicted
 
 
 def verify_nearest_separable(

@@ -17,7 +17,7 @@ from witnesskit import cli, measures
 from witnesskit.cli import RESULT_COLUMNS, _parse_alpha_range, build_parser, main
 from witnesskit.measures import BntReport, MeasureResult, ProjectionConfig, ProjectionError
 from witnesskit.states import DensityMatrix, ProductEnsemble, density_to_json, isotropic
-from witnesskit.witness import SolverConfig, WitnessReport
+from witnesskit.witness import MAX_STARTS, SolverConfig, WitnessReport
 
 
 def run_cli(capsys, *argv):
@@ -569,6 +569,7 @@ def test_projection_error_row_from_the_projection(monkeypatch, capsys):
     pytest.param(("--n-starts", "-1"), id="None-flags5"),
     pytest.param(("--tol-gap", "0"), id="None-flags6"),
     pytest.param(("--tol-gap", "inf"), id="None-flags7"),
+    pytest.param(("--n-starts", str(MAX_STARTS + 1)), id="n-starts-above-cap"),
 ])
 def test_bad_solver_settings(capsys, flags):
     code, out, err = run_cli(capsys, "bnt", "--d", "2", "--alpha", "0.8", *flags)

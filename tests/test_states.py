@@ -22,7 +22,7 @@ from witnesskit.states import (
 from witnesskit.bases import bloch_decompose, generalized_basis
 from witnesskit.linalg import hs_norm
 from witnesskit.measures import hs_measure_isotropic
-from witnesskit.witness import SolverConfig
+from witnesskit.witness import MAX_STARTS, SolverConfig
 
 
 def test_max_entangled_d2():
@@ -289,6 +289,9 @@ def test_density_matrix_validation():
                  id="solver-none-n_starts"),
     pytest.param(partial(SolverConfig, n_starts=0), ValueError, "need n_starts >= 1, got 0",
                  id="solver-n_starts-0"),
+    # refused before the solver allocates anything
+    pytest.param(partial(SolverConfig, n_starts=MAX_STARTS + 1), ValueError,
+                 f"need n_starts <= {MAX_STARTS}, got {MAX_STARTS + 1}", id="solver-n_starts-above-cap"),
     pytest.param(partial(SolverConfig, max_iters=True), ValueError, "max_iters must be an integer, got True",
                  id="solver-bool-max_iters"),
     pytest.param(partial(SolverConfig, max_iters=2.0), ValueError, "max_iters must be an integer, got 2.0",

@@ -249,12 +249,12 @@ def test_min_over_separable_returns_every_endpoint():
     assert np.max(np.abs(values - rayleigh)) <= 1e-12
 
 
-@pytest.mark.parametrize("d_a,d_b,seed", [(2, 3, 34), (3, 3, 35)])
+@pytest.mark.parametrize("d_a,d_b,seed", [(2, 2, 36), (2, 3, 34), (3, 3, 35), (4, 4, 37)])
 def test_min_over_separable_endpoint_depends_only_on_its_start(d_a, d_b, seed):
-    # every start steps until all have stopped, and a stopped start keeps its
-    # endpoint; the extra start e and the first random start (the same draw for
-    # any n_starts) run alone, then among 8, where the others stop earlier or
-    # later (5-8 and 7-9 iterations here, against 7 and 8 for e)
+    # a start that stops leaves the working arrays with its endpoint; the extra
+    # start e and the first random start (the same draw for any n_starts) run
+    # alone, then among 8, where the others stop earlier or later (4-8, 5-8,
+    # 7-8 and 5-12 iterations here, against 7, 7, 8 and 10 for e)
     rng = np.random.default_rng(seed)
     a = random_hermitian(rng, d_a * d_b)
     e = random_unit(rng, d_b)
@@ -266,6 +266,37 @@ def test_min_over_separable_endpoint_depends_only_on_its_start(d_a, d_b, seed):
         dev = np.maximum.reduce([np.abs(among[0] - value), np.abs(among[1] - psi).max(axis=1),
                                  np.abs(among[2] - phi).max(axis=1)])
         assert dev.min() <= 1e-14
+
+
+def test_min_over_separable_budget_between_the_stops(monkeypatch):
+    # a budget that runs out after some starts have stopped and while others
+    # still run: one row per start in value order, each a start's unit vectors
+    # and their value, and every stopped start's endpoint bit for bit as under
+    # the default budget
+    rng = np.random.default_rng(36)
+    a = random_hermitian(rng, 6)
+    live = []  # rows of each eigh call: the starts running in each half-step
+    eigh = np.linalg.eigh
+
+    def counting_eigh(x):
+        live.append(len(x))
+        return eigh(x)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    full = min_over_separable(a, 2, 3, SolverConfig(n_starts=8))
+    running = live[::2]  # running[i]: the starts left after i iterations
+    budget = next(i for i, k in enumerate(running) if k < 8)  # the first stops
+    stopped = 8 - running[budget]
+    assert 0 < stopped < 8
+    values, psis, phis = min_over_separable(a, 2, 3, SolverConfig(n_starts=8, max_iters=budget))
+    assert len(values) == len(psis) == len(phis) == 8
+    assert np.all(np.diff(values) >= 0)
+    x = np.array([np.kron(p, f) for p, f in zip(psis, phis)])
+    rayleigh = np.einsum("ka,ab,kb->k", x.conj(), a, x).real
+    assert np.max(np.abs(values - rayleigh)) <= 1e-12
+    kept = [any(v == fv and np.array_equal(p, fp) and np.array_equal(f, ff) for fv, fp, ff in zip(*full))
+            for v, p, f in zip(values, psis, phis)]
+    assert sum(kept) >= stopped
 
 
 def test_verify_nearest_separable_qubit():
