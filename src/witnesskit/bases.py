@@ -68,8 +68,6 @@ def bloch_decompose(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     exact inverse.  Both take integer dimensions d_a, d_b >= 2.
     """
     r4 = require_hermitian(as_bipartite(rho, d_a, d_b)).reshape(d_a, d_b, d_a, d_b)
-    require_integer("d_a", d_a, 2)  # the shared shape check allows a factor of 1
-    require_integer("d_b", d_b, 2)
     # scaled so that Tr(ga^i g^j) = d_a delta_ij, the same for gb
     ga, gb = _with_identity(d_a), _with_identity(d_b)
     ga[1:] *= d_a / 2

@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     except (SolverError, ProjectionError) as exc:
         print(f"witnesskit: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, MemoryError, OverflowError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError, RecursionError) as exc:
         print(f"witnesskit: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -42,9 +42,9 @@ def require_integer(name: str, value, low: int) -> None:
 
 def as_bipartite(a, d_a: int, d_b: int) -> np.ndarray:
     """Coerce ``a`` to a square complex matrix on C^d_a (x) C^d_b, the
-    dimensions being integers >= 1."""
-    require_integer("d_a", d_a, 1)
-    require_integer("d_b", d_b, 1)
+    dimensions being integers >= 2: a factor of dimension 1 is not bipartite."""
+    require_integer("d_a", d_a, 2)
+    require_integer("d_b", d_b, 2)
     m = as_matrix(a)
     if m.shape[0] != d_a * d_b:
         raise DimensionMismatchError(f"matrix dim {m.shape[0]} != d_a*d_b = {d_a * d_b}")

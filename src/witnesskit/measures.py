@@ -154,9 +154,6 @@ def nearest_separable(
     are recomputed.  The atoms left with weight > 0 are the next iterate.
     """
     d_a, d_b = target.d_a, target.d_b
-    if 1 in (d_a, d_b):
-        raise ValueError("projection needs a bipartite state")
-
     w, lin, psis, phis = np.empty(0), np.empty(0), np.empty((0, d_a)), np.empty((0, d_b))
     rho, v_phis = 0.0, phis  # the last call's minimizer is the warm start; none at first
     for it in itertools.count(1):

@@ -113,8 +113,8 @@ def min_over_separable(
     order of value: row 0 is the minimum and its minimizer, and each value
     is the Rayleigh value of its row's unit vectors.  ``extra_starts`` may
     supply initial phi vectors (e.g. warm starts), each of length d_b with a
-    finite nonzero norm; other extra starts, and entries so large that the
-    arithmetic overflows, raise ``ValueError``.
+    finite nonzero norm; other extra starts, dimensions below 2, and entries
+    so large that the arithmetic overflows, raise ``ValueError``.
     """
     m = require_hermitian(as_bipartite(a, d_a, d_b))
     starts = np.asarray(extra_starts, dtype=complex)

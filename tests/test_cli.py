@@ -394,6 +394,7 @@ MIXED_2X2 = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
     {"d_a": 2, "d_b": 2, "entries": [[1e308, 0.0]] * 16},  # the trace overflows
     {"d_a": 2, "d_b": 2, "entries": [[1e308, 0.0], [-1e308, 0.0]] + [[1e308, 0.0]] * 14},
     pytest.param('{"d_a": 1' + "0" * 2200 + ', "d_b": 2, "entries": [[1, 0]]}', id="d_a-2201-digits"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),  # past the recursion limit
 ])
 def test_malformed_state_json(tmp_path, capsys, payload):
     path = tmp_path / "state.json"

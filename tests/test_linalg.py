@@ -176,16 +176,19 @@ def test_partial_transpose_preserves_trace_and_hermiticity():
 
 
 # every operator on C^d_a (x) C^d_b passes one shape check, so the same bad
-# dimensions fail with the same message at each entry point
-@pytest.mark.parametrize("d_a, d_b, error, message", [
-    pytest.param(2.0, 2, ValueError, "d_a must be an integer, got 2.0", id="float"),
-    pytest.param(2, True, ValueError, "d_b must be an integer, got True", id="bool"),
-    pytest.param(0, 4, ValueError, "need d_a >= 1, got 0", id="zero"),
-    pytest.param(-2, -2, ValueError, "need d_a >= 1, got -2", id="negative"),
-    pytest.param(2, 3, DimensionMismatchError, "matrix dim 4 != d_a*d_b = 6", id="mismatch"),
+# dimensions fail with the same message at each entry point; a factor of
+# dimension 1 is not bipartite, even where the matrix size fits
+@pytest.mark.parametrize("n, d_a, d_b, error, message", [
+    pytest.param(4, 2.0, 2, ValueError, "d_a must be an integer, got 2.0", id="float"),
+    pytest.param(4, 2, True, ValueError, "d_b must be an integer, got True", id="bool"),
+    pytest.param(4, 0, 4, ValueError, "need d_a >= 2, got 0", id="zero"),
+    pytest.param(4, -2, -2, ValueError, "need d_a >= 2, got -2", id="negative"),
+    pytest.param(4, 4, 1, ValueError, "need d_b >= 2, got 1", id="one-factor"),
+    pytest.param(1, 1, 1, ValueError, "need d_a >= 2, got 1", id="one-by-one"),
+    pytest.param(4, 2, 3, DimensionMismatchError, "matrix dim 4 != d_a*d_b = 6", id="mismatch"),
 ])
 @pytest.mark.parametrize("entry", [partial_transpose, min_over_separable, DensityMatrix, bloch_decompose],
                          ids=lambda f: f.__name__)
-def test_bipartite_shape_check(entry, d_a, d_b, error, message):
+def test_bipartite_shape_check(entry, n, d_a, d_b, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        entry(np.eye(4) / 4, d_a, d_b)
+        entry(np.eye(n) / n, d_a, d_b)

@@ -280,12 +280,6 @@ def test_projection_gap_bounds_squared_distance_error():
     assert res.distance**2 - true**2 <= res.gap_certificate + 1e-12
 
 
-def test_projection_rejects_single_party_state():
-    for d_a, d_b in [(4, 1), (1, 4)]:
-        with pytest.raises(ValueError, match="bipartite"):
-            nearest_separable(DensityMatrix(np.eye(4) / 4, d_a, d_b))
-
-
 def _minor_cycle_case(seed, shift):
     # eight atoms on a 3-dimensional affine plane of R^6 (a singular Gram
     # matrix) and a target off the plane, so any interior weights on them are

@@ -236,14 +236,14 @@ def test_ppt_threshold_on_grid(d):
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(4) / 2, 2, 2)  # trace 2
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.5, -0.5]).astype(complex), 2, 1)  # not PSD
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        DensityMatrix(np.diag([1.5, -0.5, 0, 0]).astype(complex), 2, 2)
 
 
 @pytest.mark.parametrize("build, error, match", [
-    pytest.param(lambda: DensityMatrix(np.eye(2) / 2, 0, 2), ValueError, "need d_a >= 1, got 0",
+    pytest.param(lambda: DensityMatrix(np.eye(2) / 2, 0, 2), ValueError, "need d_a >= 2, got 0",
                  id="density-d_a-0"),
-    pytest.param(lambda: DensityMatrix(np.eye(2) / 2, 2, -1), ValueError, "need d_b >= 1, got -1",
+    pytest.param(lambda: DensityMatrix(np.eye(2) / 2, 2, -1), ValueError, "need d_b >= 2, got -1",
                  id="density-d_b-negative"),
     pytest.param(lambda: DensityMatrix(np.eye(3) / 3, 2, 2), ValueError, r"matrix dim 3 != d_a\*d_b = 4",
                  id="density-size"),
