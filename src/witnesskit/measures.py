@@ -80,7 +80,7 @@ def hs_measure_isotropic(d: int, alpha: float) -> float:
     p = IsotropicParams(d, alpha)
     if p.separable:
         return 0.0
-    return math.sqrt(d * d - 1) / d * (p.alpha - p.threshold)  # in floats: d * d may exceed int64
+    return math.sqrt(int(d) ** 2 - 1) / d * (p.alpha - p.threshold)  # int(d): d^2 may exceed int64
 
 
 def _gaps(gram: np.ndarray, lin: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import bloch_decompose, generalized_basis
+from .bases import generalized_basis
 from .linalg import (
     TAU_EIG,
     TAU_HERM,
@@ -58,7 +58,7 @@ class IsotropicParams:
     def __post_init__(self):
         require_integer("d", self.d, 2)
         try:
-            lo = -1.0 / (self.d**2 - 1)
+            lo = -1.0 / (int(self.d) ** 2 - 1)
         except OverflowError:
             raise ValueError(f"d = {self.d} is too large: d^2 must fit in a float "
                              "(d below about 1.34e154)") from None
@@ -138,13 +138,11 @@ def isotropic(d: int, alpha: float) -> DensityMatrix:
 
 
 def gamma_signs(d: int) -> np.ndarray:
-    """Sign vector c with d^2 |phi+><phi+| - 1 = (d/2) sum_i c_i g^i x g^i,
-    read off the diagonal correlation block of |phi+><phi+| in the product
-    basis of :func:`~witnesskit.bases.generalized_basis`."""
-    v = max_entangled(d)
-    # |phi+><phi+| = (1/d^2)(1 + (d/2) Gamma): its correlation block is (d/2) Gamma
-    c = bloch_decompose(np.outer(v, v.conj()), d, d)[1:, 1:]
-    return np.sign(np.diag(c)).astype(int)
+    """Sign vector c with d^2 |phi+><phi+| - 1 = (d/2) sum_i c_i g^i x g^i over
+    :func:`~witnesskit.bases.generalized_basis`: as <phi+|a x b|phi+> = Tr(a b^T)/d,
+    c_i is the sign of Tr(g^i g^iT) = sum_ab (g^i_ab)^2, - on the antisymmetric g^i."""
+    g = generalized_basis(d)
+    return np.sign(np.einsum("iab,iab->i", g, g).real).astype(int)
 
 
 def gamma_operator(d: int) -> np.ndarray:
@@ -201,20 +199,20 @@ def is_ppt(rho: DensityMatrix) -> bool:
 def density_to_json(rho: DensityMatrix) -> dict:
     """JSON-ready dict {d_a, d_b, entries} with row-major [re, im] pairs."""
     entries = [[float(z.real), float(z.imag)] for z in rho.matrix.ravel()]
-    return {"d_a": rho.d_a, "d_b": rho.d_b, "entries": entries}
+    return {"d_a": int(rho.d_a), "d_b": int(rho.d_b), "entries": entries}
 
 
 def density_from_json(obj: dict) -> DensityMatrix:
     """Inverse of ``density_to_json``; raises ValueError on malformed input."""
     try:
         d_a, d_b = obj["d_a"], obj["d_b"]
-        require_integer("d_a", d_a, 1)
-        require_integer("d_b", d_b, 1)
+        require_integer("d_a", d_a, 2)
+        require_integer("d_b", d_b, 2)
         entries = [complex(re, im) for re, im in obj["entries"]]
         if any(type(x) is bool for pair in obj["entries"] for x in pair):
             raise TypeError("an entry is a boolean")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError("state JSON needs positive integer d_a, d_b and 'entries' as a list "
+        raise ValueError("state JSON needs integer d_a, d_b >= 2 and 'entries' as a list "
                          f"of [re, im] number pairs ({exc})") from exc
     dim = d_a * d_b
     if len(entries) != dim * dim:

@@ -39,10 +39,11 @@ def test_hs_measure_isotropic_values():
 
 
 def test_hs_measure_isotropic_past_int64():
-    # d^2 = 2^80 is too large for a numpy integer; the root is taken in floats
-    value = hs_measure_isotropic(2**40, 0.5)
-    assert isinstance(value, float)
-    assert value == pytest.approx(0.5 - 2.0**-40, abs=1e-15)
+    # d^2 = 2^80 is too large for a numpy integer; it is squared as a Python int
+    for d in (2**40, np.int64(2**40)):
+        value = hs_measure_isotropic(d, 0.5)
+        assert isinstance(value, float)
+        assert value == pytest.approx(0.5 - 2.0**-40, abs=1e-15)
 
 
 def test_hs_measure_zero_on_separable_side():

@@ -110,8 +110,9 @@ def test_gamma_signs_minus_on_antisymmetric():
 
 @pytest.mark.parametrize("d", [*range(2, 9), 12])
 def test_gamma_correlation_block_is_signed_identity(d):
-    # gamma_signs reads only the diagonal: |phi+><phi+| = (1/d^2)(1 + (d/2) Gamma)
-    # must have no marginal or cross terms, and -1 exactly on the antisymmetric generators
+    # gamma_signs gives the diagonal's signs as those of Tr(g g^T); the block itself, of
+    # |phi+><phi+| = (1/d^2)(1 + (d/2) Gamma), must have no marginal or cross terms, and -1
+    # exactly on the antisymmetric generators
     v = max_entangled(d)
     c = bloch_decompose(np.outer(v, v.conj()), d, d)
     antisymmetric = np.array([np.array_equal(g.T, -g) for g in generalized_basis(d)])
@@ -315,13 +316,14 @@ def test_states_reject_bad_input(build, error, match):
 
 
 def test_density_json_round_trip():
-    rho = isotropic(3, 0.4)
-    obj = density_to_json(rho)
-    assert set(obj) == {"d_a", "d_b", "entries"}
-    assert len(obj["entries"]) == 81
-    back = density_from_json(obj)
-    assert back.d_a == 3 and back.d_b == 3
-    assert np.allclose(back.matrix, rho.matrix)
+    for d in (3, np.int64(3)):
+        rho = isotropic(d, 0.4)
+        obj = json.loads(json.dumps(density_to_json(rho)))
+        assert set(obj) == {"d_a", "d_b", "entries"}
+        assert len(obj["entries"]) == 81
+        back = density_from_json(obj)
+        assert back.d_a == 3 and back.d_b == 3
+        assert np.allclose(back.matrix, rho.matrix)
 
 
 @pytest.mark.parametrize("entries", [
@@ -348,13 +350,14 @@ def test_density_from_json_rejects_malformed_entries(entries):
     ("true", "d_a must be an integer, got True"),
     ('"2"', "d_a must be an integer, got '2'"),
     ("null", "d_a must be an integer, got None"),
-    ("0", "need d_a >= 1, got 0"),
-    ("-2", "need d_a >= 1, got -2"),
+    ("1", "need d_a >= 2, got 1"),
+    ("0", "need d_a >= 2, got 0"),
+    ("-2", "need d_a >= 2, got -2"),
 ]])
 def test_density_from_json_rejects_malformed_dimensions(d_a, reason):
     entries = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
     obj = json.loads(f'{{"d_a": {d_a}, "d_b": 2, "entries": {json.dumps(entries)}}}')
-    with pytest.raises(ValueError, match=re.escape(f"positive integer d_a, d_b and 'entries' as a list "
+    with pytest.raises(ValueError, match=re.escape(f"integer d_a, d_b >= 2 and 'entries' as a list "
                                                    f"of [re, im] number pairs ({reason})")):
         density_from_json(obj)
 
