@@ -1,10 +1,12 @@
 """Hilbert-Schmidt distance machinery: closed forms for isotropic states,
 a projection onto the separable set by one Wolfe nearest-point loop (its
-iterate a ``ProductEnsemble`` that starts empty, its major cycle the
-product-state oracle, warm-started after its first call, whose endpoints
-from every start may all enter, its minor cycle an exact weight step on
-the atoms' Gram matrix), the generalized Bell inequality violation and the
-distance-equals-violation equality check.
+iterate a weighted set of product states that starts empty, its major
+cycle the product-state oracle, whose cold first call runs
+max(``n_starts``, 32) starts and each later call ``n_starts`` plus a warm
+start, and whose endpoints from every start may all enter, its minor
+cycle an exact weight step on the atoms' Gram matrix), the generalized
+Bell inequality violation and the distance-equals-violation equality
+check.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import TAU_EIG, hs_inner, hs_norm, require_integer
-from .states import DensityMatrix, IsotropicParams, ProductEnsemble
+from .states import DensityMatrix, IsotropicParams, ProductEnsemble, product_mixture
 from .witness import SolverConfig, min_over_separable, witness_candidate
 
 #: Frank-Wolfe iterations before the projection gives up with ProjectionError
@@ -31,9 +33,11 @@ VIOLATION_SEED_OFFSET = 12345
 @dataclass(frozen=True)
 class ProjectionConfig(SolverConfig):
     """Settings for the Frank-Wolfe projection onto the separable set: those
-    of the product-state minimizer of its linear subproblem, with fewer
-    starts than the standalone default because each call after the first
-    is warm-started, and a positive finite gap tolerance."""
+    of the product-state minimizer of its linear subproblem and a positive
+    finite gap tolerance.  Each call after the first is warm-started and
+    runs fewer random starts than the standalone default; the cold first
+    call runs max(``n_starts``, ``SolverConfig.n_starts``), so that its
+    endpoints sample the target's orbit of maximal-overlap product states."""
 
     n_starts: int = 8
     tol_gap: float = 1e-9
@@ -104,7 +108,8 @@ def _corrective_weights(gram: np.ndarray, lin: np.ndarray, w: np.ndarray, j: int
     w = w.astype(float)
     s = np.append(np.flatnonzero(w > 0), j)
     while True:
-        kkt = np.pad(gram[np.ix_(s, s)], (0, 1), constant_values=1.0)
+        kkt = np.ones((len(s) + 1, len(s) + 1))
+        kkt[:-1, :-1] = gram[np.ix_(s, s)]
         kkt[-1, -1] = 0.0
         rhs = np.append(lin[s], 1.0)
         try:
@@ -135,14 +140,17 @@ def nearest_separable(
     Frank-Wolfe, which is Wolfe's nearest-point algorithm (Lacoste-Julien &
     Jaggi, NeurIPS 2015) over the pure product states.
 
-    The iterate is a ``ProductEnsemble`` of pure product states
-    x_i = psi_i (x) phi_i with weights w, at first empty.  With c_i =
-    <x_i|target|x_i> and G_ij = |<x_i|x_j>|^2 = |<psi_i|psi_j>|^2
-    |<phi_i|phi_j>|^2 the squared distance is w^T G w - 2 c^T w plus a
-    constant, and an atom's value under grad = 2 (rho - target) is
-    <x_j|grad|x_j> = 2 g_j, g = G w - c.  Each step is a major cycle: the
-    product-state oracle, warm-started after its first call, minimizes that
-    value from every start; its endpoints join the atoms at weight 0, with
+    The iterate holds pure product states x_i = psi_i (x) phi_i with
+    weights w, at first none; the result's ``ProductEnsemble`` holds the
+    last one.  With c_i = <x_i|target|x_i> and G_ij = |<x_i|x_j>|^2 =
+    |<psi_i|psi_j>|^2 |<phi_i|phi_j>|^2 the squared distance is
+    w^T G w - 2 c^T w plus a constant, and an atom's value under
+    grad = 2 (rho - target) is <x_j|grad|x_j> = 2 g_j, g = G w - c.  Each
+    step is a major cycle: the product-state oracle minimizes that value
+    from every start, the cold first call from max(``cfg.n_starts``,
+    ``SolverConfig.n_starts``) random ones, each later call from
+    ``cfg.n_starts`` random ones and the last call's minimizer as a warm
+    start.  Its endpoints join the atoms at weight 0, with
     c_j = (G w)_j - v_j / 2 read off their values v_j.  The gap
     2 (w.g - g_j) of the oracle's minimizer, clipped at 0, certifies the
     squared distance; once an atom has entered, the loop stops on it below
@@ -157,8 +165,9 @@ def nearest_separable(
     w, lin, psis, phis = np.empty(0), np.empty(0), np.empty((0, d_a)), np.empty((0, d_b))
     rho, v_phis = 0.0, phis  # the last call's minimizer is the warm start; none at first
     for it in itertools.count(1):
-        v_vals, v_psis, v_phis = min_over_separable(2 * (rho - target.matrix), d_a, d_b, cfg, v_phis[:1])
         k = len(w)
+        call_cfg = cfg if k else replace(cfg, n_starts=max(cfg.n_starts, SolverConfig.n_starts))
+        v_vals, v_psis, v_phis = min_over_separable(2 * (rho - target.matrix), d_a, d_b, call_cfg, v_phis[:1])
         psis, phis = np.vstack([psis, v_psis]), np.vstack([phis, v_phis])
         w = np.append(w, np.zeros(len(v_vals)))
         gram = np.abs(psis.conj() @ psis.T) ** 2 * np.abs(phis.conj() @ phis.T) ** 2
@@ -172,13 +181,12 @@ def nearest_separable(
                 w = _corrective_weights(gram, lin, w, j)
                 gaps = _gaps(gram, lin, w)
         keep = w > 0
-        ensemble = ProductEnsemble(w[keep], psis[keep], phis[keep])
-        w, lin, psis, phis = ensemble.weights, lin[keep], ensemble.psis, ensemble.phis
-        rho = ensemble.to_matrix()
+        w, lin, psis, phis = w[keep], lin[keep], psis[keep], phis[keep]
+        rho = product_mixture(w, psis, phis)
 
     result = MeasureResult(
         distance=hs_norm(rho - target.matrix),
-        nearest=ensemble,
+        nearest=ProductEnsemble(w[:k], psis[:k], phis[:k]),  # without the last call's endpoints
         gap_certificate=max(float(gap), 0.0),
         iterations=it,
         converged=bool(gap < cfg.tol_gap),

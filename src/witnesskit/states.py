@@ -113,11 +113,16 @@ class ProductEnsemble:
         return tuple(zip(self.weights, self.psis, self.phis))
 
     def to_matrix(self) -> np.ndarray:
-        x = (self.psis[:, :, None] * self.phis[:, None, :]).reshape(len(self.psis), -1)
-        return (x.T * self.weights) @ x.conj()
+        return product_mixture(self.weights, self.psis, self.phis)
 
     def to_density(self) -> DensityMatrix:
         return DensityMatrix(self.to_matrix(), self.psis.shape[1], self.phis.shape[1])
+
+
+def product_mixture(weights: np.ndarray, psis: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """sum_k w_k |psi_k phi_k><psi_k phi_k| of unchecked ``ProductEnsemble`` arrays."""
+    x = (psis[:, :, None] * phis[:, None, :]).reshape(len(psis), -1)
+    return (x.T * weights) @ x.conj()
 
 
 def max_entangled(d: int) -> np.ndarray:

@@ -114,6 +114,36 @@ def test_projection_error_reports_one_iterate(monkeypatch, d):
     assert res.gap_certificate == pytest.approx(hs_inner(rho, grad).real - sep_min, abs=1e-9)
 
 
+@pytest.mark.parametrize("cfg, first", [(ProjectionConfig(), 32), (ProjectionConfig(n_starts=64), 64)],
+                         ids=["default", "64-starts"])
+def test_cold_first_oracle_call_runs_the_standalone_starts(monkeypatch, cfg, first):
+    # the first call has no warm start and runs at least SolverConfig's 32
+    # starts; every later call runs cfg.n_starts and the warm start
+    calls = []
+
+    def oracle(a, d_a, d_b, call_cfg, extra_starts=()):
+        calls.append((call_cfg.n_starts, len(extra_starts)))
+        return min_over_separable(a, d_a, d_b, call_cfg, extra_starts)
+
+    monkeypatch.setattr(measures, "min_over_separable", oracle)
+    u = _local_unitary(3, 0)
+    nearest_separable(DensityMatrix(u @ isotropic(3, 0.6).matrix @ u.conj().T, 3, 3), cfg)
+    assert calls[0] == (first, 0)
+    assert len(calls) > 1 and calls[1:] == [(cfg.n_starts, 1)] * (len(calls) - 1)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_first_iterate_samples_the_orbit(monkeypatch, d):
+    # every endpoint of the cold first call that still has a gap enters, so a
+    # rotated isotropic target's first iterate holds much of the orbit of its
+    # maximal-overlap product states; an 8-start first call leaves 7 or 8 atoms
+    monkeypatch.setattr(measures, "MAX_OUTER_ITERS", 2)
+    u = _local_unitary(d, 0)
+    with pytest.raises(ProjectionError) as info:
+        nearest_separable(DensityMatrix(u @ isotropic(d, 1.0).matrix @ u.conj().T, d, d))
+    assert len(info.value.result.nearest.weights) > 9
+
+
 def test_projection_starts_from_the_best_endpoint_whatever_the_tolerance():
     # the iterate starts empty: the first oracle call's best endpoint enters
     # even when its gap is below tol_gap, and the stop test waits for it
