@@ -216,7 +216,7 @@ FLAGS = {
     "--n-starts": dict(type=int),
     "--max-iters": dict(type=int),
     "--tol-gap": dict(type=float),
-    "--seed": dict(type=int, help="RNG seed (default 0)"),
+    "--seed": dict(type=int, help=f"RNG seed (default {SolverConfig.seed})"),
     "--guess-alpha": dict(type=float, help="alpha of the isotropic guess state (default: threshold)"),
     "--state": dict(help="target state JSON file"),
     "--guess": dict(help="guess state JSON file"),

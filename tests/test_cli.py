@@ -26,6 +26,15 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_cli_error(capsys, *argv):
+    """stderr of ``main(argv)``, which must exit 1 with empty stdout and a
+    single ``witnesskit:`` line on stderr."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("witnesskit:")
+    return err
+
+
 def test_parse_alpha_single():
     assert _parse_alpha_range("0.7") == [0.7]
 
@@ -56,10 +65,7 @@ def test_parse_alpha_range_bad_spec():
 
 @pytest.mark.parametrize("command", ["iso-sweep", "chsh-scan"])
 def test_alpha_range_too_many_points(capsys, command):
-    code, out, err = run_cli(capsys, command, "--d", "2", "--alpha", "0:1:1e-9")
-    assert code == 1
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and "100000 points" in err
+    assert "100000 points" in run_cli_error(capsys, command, "--d", "2", "--alpha", "0:1:1e-9")
 
 
 def test_iso_sweep_rows(capsys):
@@ -118,11 +124,7 @@ def test_witness_check_bad_guess(capsys):
 def test_witness_check_needs_state_and_guess(tmp_path, capsys, pair):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(density_to_json(isotropic(2, 0.8))))
-    code, out, err = run_cli(capsys, "witness-check", "--d", "2", "--alpha", "0.8",
-                             f"--{pair}", str(path))
-    assert code == 1
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
+    err = run_cli_error(capsys, "witness-check", "--d", "2", "--alpha", "0.8", f"--{pair}", str(path))
     assert "--state" in err and "--guess" in err
 
 
@@ -138,10 +140,8 @@ def test_state_rejects_isotropic_flags(tmp_path, capsys, argv):
     path = tmp_path / "state.json"
     path.write_text(json.dumps(density_to_json(isotropic(2, 0.8))))
     argv = [a.format(path=path) for a in argv]
-    code, out, err = run_cli(capsys, *argv, "--state", str(path))
-    assert code == 1
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and argv[1] in err and "--state" in err
+    err = run_cli_error(capsys, *argv, "--state", str(path))
+    assert argv[1] in err and "--state" in err
 
 
 def test_witness_check_state_files(tmp_path, capsys):
@@ -228,36 +228,28 @@ def test_chsh_scan(capsys):
 
 
 def test_chsh_scan_rejects_qutrits(capsys):
-    code, _, err = run_cli(capsys, "chsh-scan", "--d", "3", "--alpha", "0.5")
-    assert code == 1
-    assert "d = 2" in err
+    assert "d = 2" in run_cli_error(capsys, "chsh-scan", "--d", "3", "--alpha", "0.5")
+
+
+def test_gamma_signs_rejects_d_1(capsys):
+    assert run_cli_error(capsys, "gamma-signs", "--d", "1") == "witnesskit: need d >= 2, got 1\n"
 
 
 def test_exit_code_on_bad_alpha(capsys):
-    code, _, err = run_cli(capsys, "iso-sweep", "--d", "2", "--alpha", "1.5")
-    assert code == 1
-    assert err.startswith("witnesskit:")
+    assert "alpha = 1.5" in run_cli_error(capsys, "iso-sweep", "--d", "2", "--alpha", "1.5")
 
 
 @pytest.mark.parametrize("spec", ["0:inf:0.1", "0:1:nan", "nan:1:0.1", "-inf:1:0.1", "0:nan:0.1"])
 def test_non_finite_alpha_range(capsys, spec):
-    code, out, err = run_cli(capsys, "iso-sweep", "--d", "2", f"--alpha={spec}")
-    assert code == 1
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and "finite" in err
+    assert "finite" in run_cli_error(capsys, "iso-sweep", "--d", "2", f"--alpha={spec}")
 
 
 def test_single_alpha_commands_reject_a_grid(capsys):
-    code, out, err = run_cli(capsys, "bnt", "--alpha", "0.5:0.7:0.1")
-    assert code == 1
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and "single --alpha value" in err
+    assert "single --alpha value" in run_cli_error(capsys, "bnt", "--alpha", "0.5:0.7:0.1")
 
 
 def test_missing_alpha(capsys):
-    code, _, err = run_cli(capsys, "bnt", "--d", "2")
-    assert code == 1
-    assert "--alpha" in err
+    assert "--alpha" in run_cli_error(capsys, "bnt", "--d", "2")
 
 
 def test_json_output_types(capsys):
@@ -355,17 +347,18 @@ def test_witness_check_solver_error_row(capsys):
     code, out, err = run_cli(capsys, "witness-check", "--d", "2", "--alpha", "0.8",
                              "--max-iters", "1")
     assert code == 2
-    assert len(err.strip().splitlines()) == 1 and err.startswith("witnesskit:")
-    header, row = out.strip().splitlines()
+    assert len(err.splitlines()) == 1 and err.startswith("witnesskit:")
+    header, row = out.splitlines()
+    assert row.endswith(",false,false")
     values = dict(zip(header.split(","), row.split(",")))
-    assert values["is_witness"] == "false" and values["is_optimal"] == "false"
     assert np.isfinite(float(values["sep_minimum"]))
 
 
 def test_bnt_solver_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "bnt", "--d", "2", "--alpha", "0.8", "--max-iters", "1")
-    assert code == 2
-    assert len(err.strip().splitlines()) == 1 and err.startswith("witnesskit:")
+    # no row: the product-state minimizer, not the projection, ran out of iterations
+    code, out, err = run_cli(capsys, "bnt", "--d", "2", "--alpha", "0.8", "--max-iters", "1")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("witnesskit:")
 
 
 MIXED_2X2 = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
@@ -399,10 +392,7 @@ MIXED_2X2 = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
 def test_malformed_state_json(tmp_path, capsys, payload):
     path = tmp_path / "state.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
-    code, out, err = run_cli(capsys, "measure", "--state", str(path))
-    assert code == 1
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and err.startswith("witnesskit:")
+    run_cli_error(capsys, "measure", "--state", str(path))
 
 
 def test_state_entry_count_message_with_huge_dimension(tmp_path, capsys):
@@ -411,6 +401,26 @@ def test_state_entry_count_message_with_huge_dimension(tmp_path, capsys):
     code, _, err = run_cli(capsys, "measure", "--state", str(path))
     assert code == 1
     assert err == "witnesskit: got 1 entries, expected (d_a * d_b)^2\n"
+
+
+FACTOR_BELOW_2 = {
+    "0x2": '{"d_a": 0, "d_b": 2, "entries": []}',
+    "1x2": '{"d_a": 1, "d_b": 2, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}',
+    "1x2-pure": '{"d_a": 1, "d_b": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("measure", "--state", "0x2"), id="measure-0x2"),
+    pytest.param(("measure", "--state", "1x2"), id="measure-1x2"),
+    pytest.param(("witness-check", "--state", "1x2", "--guess", "1x2-pure"), id="witness-check-1x2"),
+])
+def test_state_with_a_factor_below_2(tmp_path, capsys, argv):
+    # a factor of dimension 1 is not bipartite: valid 1 x 2 states are refused as 0 x 2 is
+    for name, text in FACTOR_BELOW_2.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    argv = [str(tmp_path / f"{a}.json") if a in FACTOR_BELOW_2 else a for a in argv]
+    assert "need d_a >= 2" in run_cli_error(capsys, *argv)
 
 
 NOT_A_NUMBER = st.one_of(st.none(), st.text(max_size=3), st.lists(st.integers(), max_size=3),
@@ -468,10 +478,7 @@ def malformed_state_documents(draw):
 def test_malformed_state_json_fuzz(tmp_path, capsys, text):
     path = tmp_path / "state.json"
     path.write_text(text)
-    code, out, err = run_cli(capsys, "measure", "--state", str(path))
-    assert code == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("witnesskit:")
+    run_cli_error(capsys, "measure", "--state", str(path))
 
 
 @pytest.mark.parametrize("command,d,alpha", [
@@ -514,9 +521,7 @@ def test_gap_is_never_negative(capsys, alpha, seed):
                                   ("witness-check", "--d", "2000", "--alpha", "0.8")])
 def test_input_too_large_to_allocate(capsys, argv):
     # the d^2 x d^2 state needs over 200 TiB, more than a 48-bit address space holds
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("witnesskit:")
+    run_cli_error(capsys, *argv)
 
 
 def test_iso_sweep_past_int64(capsys):
@@ -533,9 +538,7 @@ def test_iso_sweep_past_int64(capsys):
 ])
 def test_d_past_the_float_range(capsys, argv):
     # 1 / (d^2 - 1) overflows a float: a domain error that names d, not a traceback
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith(f"witnesskit: d = {argv[2]} is too large")
+    assert run_cli_error(capsys, *argv).startswith(f"witnesskit: d = {argv[2]} is too large")
 
 
 def test_projection_error_partial_row(monkeypatch, capsys):
@@ -565,18 +568,21 @@ def test_projection_error_row_from_the_projection(monkeypatch, capsys):
 
 
 # fixed ids, so that results stay comparable with earlier runs of the suite
-@pytest.mark.parametrize("flags", [
-    pytest.param(("--n-starts", "0"), id="None-flags4"),
-    pytest.param(("--n-starts", "-1"), id="None-flags5"),
-    pytest.param(("--tol-gap", "0"), id="None-flags6"),
-    pytest.param(("--tol-gap", "inf"), id="None-flags7"),
-    pytest.param(("--n-starts", str(MAX_STARTS + 1)), id="n-starts-above-cap"),
+@pytest.mark.parametrize("command,flags", [
+    pytest.param("bnt", ("--n-starts", "0"), id="None-flags4"),
+    pytest.param("bnt", ("--n-starts", "-1"), id="None-flags5"),
+    pytest.param("bnt", ("--tol-gap", "0"), id="None-flags6"),
+    pytest.param("bnt", ("--tol-gap", "inf"), id="None-flags7"),
+    pytest.param("bnt", ("--n-starts", str(MAX_STARTS + 1)), id="n-starts-above-cap"),
+    pytest.param("bnt", ("--max-iters", "0"), id="max-iters-0"),
+    pytest.param("bnt", ("--seed", "-1"), id="seed-negative"),
+    pytest.param("measure", ("--tol-gap", "0"), id="measure-tol-gap-0"),
+    pytest.param("measure", ("--tol-gap", "nan"), id="measure-tol-gap-nan"),
+    pytest.param("witness-check", ("--n-starts", str(MAX_STARTS + 1)), id="witness-check-n-starts-above-cap"),
 ])
-def test_bad_solver_settings(capsys, flags):
-    code, out, err = run_cli(capsys, "bnt", "--d", "2", "--alpha", "0.8", *flags)
-    assert code == 1
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and err.startswith("witnesskit:")
+def test_bad_solver_settings(capsys, command, flags):
+    # the one line names the setting
+    assert _setting(flags) in run_cli_error(capsys, command, "--d", "2", "--alpha", "0.8", *flags)
 
 
 @pytest.mark.parametrize("argv", [
@@ -594,14 +600,37 @@ def test_usage_error_exit_code(capsys, argv):
 
 
 def test_help_exit_code(capsys):
-    code, out, _ = run_cli(capsys, "bnt", "--help")
-    assert code == 0
-    assert "--tol-gap" in out
+    for name, _, _, flags in cli.SUBCOMMANDS:
+        code, out, err = run_cli(capsys, name, "--help")
+        assert code == 0 and err == ""
+        assert all(flag in out for flag in flags)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def python_env():
+    """This process's environment with witnesskit's source first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.mark.parametrize("args,code,lines", [
+    # the witness search runs out of iterations: its partial row still follows the header
+    pytest.param("witness-check --d 2 --alpha 0.8 --max-iters 1", 2, 2, id="witness-check-max-iters-1"),
+    pytest.param("bnt --d 2 --alpha 0.8 --n-starts 0", 1, 0, id="bnt-n-starts-0"),
+])
+def test_module_entry_point_exit_code(args, code, lines):
+    # main's exit code reaches the process through the module's sys.exit(main())
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "witnesskit.cli", *args.split()],
+                          env=python_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("witnesskit:")
+    out = proc.stdout.splitlines()
+    assert len(out) == lines and all(row.endswith(",false,false") for row in out[1:])
 
 
 def test_cli_runs_without_scipy():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import contextlib, io, sys\n"
         "from witnesskit.cli import main\n"
@@ -611,13 +640,10 @@ def test_cli_runs_without_scipy():
         "             main(['witness-check', '--d', '2', '--alpha', '0.8'])]\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=python_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0] []"
-
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def readme_examples():
