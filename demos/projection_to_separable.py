@@ -7,16 +7,27 @@ the product-state minimizer (alternating eigenvector steps with a damped
 Newton step) provides.  For isotropic states the
 answer is known in closed form, so we can watch the numeric projection
 land on it.
+
+An isotropic state is fixed by the finite group {W (x) W*} of local
+unitaries built from the d^2 Weyl operators W = X^k Z^l, and, in any other
+local frame, by a conjugate of it.  Twirling by such a group keeps the
+separable set and the target, so the nearest separable state is invariant
+too: the projection runs over twirled product states, with only their Gram
+matrix averaged over the group, and its nearest ensemble holds every group
+image of each atom.  The gradient is invariant as well, so the oracle's
+gap still certifies the distance against every product state.
 """
 
 import numpy as np
 
 from witnesskit import (
+    DensityMatrix,
     bnt_check,
     hs_measure_isotropic,
     isotropic,
     nearest_separable,
 )
+from witnesskit.states import haar_unitary
 
 # --- qubit case -----------------------------------------------------------
 
@@ -36,6 +47,20 @@ print(f"  atoms in ensemble  {len(result.nearest.weights)}")
 nearest = result.nearest.to_density()
 ref = isotropic(2, 1 / 3)
 print(f"  max|nearest - rho_1/3| = {np.max(np.abs(nearest.matrix - ref.matrix)):.2e}")
+
+# --- any local frame ------------------------------------------------------
+
+# A local unitary u_A (x) u_B keeps the distance and hides the computational
+# basis; the group is found in the target's own frame, from its one
+# non-degenerate eigenvector.
+rng = np.random.default_rng(7)
+u = np.kron(haar_unitary(4, rng), haar_unitary(4, rng))
+result = nearest_separable(DensityMatrix(u @ isotropic(4, 1.0).matrix @ u.conj().T, 4, 4))
+print("\nisotropic(4, 1.0) in a random local frame:")
+print(f"  numeric distance   {result.distance:.12f}")
+print(f"  closed form        {hs_measure_isotropic(4, 1.0):.12f}")
+print(f"  outer iterations   {result.iterations}")
+print(f"  atoms in ensemble  {len(result.nearest.weights)}   (16 images of each atom)")
 
 # --- distance equals maximal violation ------------------------------------
 

@@ -7,6 +7,12 @@ start, and whose endpoints from every start may all enter, its minor
 cycle an exact weight step on the atoms' Gram matrix), the generalized
 Bell inequality violation and the distance-equals-violation equality
 check.
+
+The projection's atoms are twirled by a finite group of local unitaries
+that fixes the target ({1 (x) 1} if none is found).  The twirl keeps the
+separable set, so the nearest separable state is invariant (Vollbrecht &
+Werner, PRA 64, 062307 (2001)); only the Gram matrix and the iterate's
+images change, and the invariant gradient lets the gap certify as before.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import TAU_EIG, hs_inner, hs_norm, require_integer
-from .states import DensityMatrix, IsotropicParams, ProductEnsemble, product_mixture
+from .linalg import TAU_EIG, TAU_HERM, hs_inner, hs_norm, require_integer
+from .states import DensityMatrix, IsotropicParams, ProductEnsemble, _weyl_operators, product_mixture
 from .witness import SolverConfig, min_over_separable, witness_candidate
 
 #: Frank-Wolfe iterations before the projection gives up with ProjectionError
@@ -133,6 +139,38 @@ def _corrective_weights(gram: np.ndarray, lin: np.ndarray, w: np.ndarray, j: int
         s = np.flatnonzero(w > 0)
 
 
+def _local_group(target: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked local unitaries (us, vs) of a finite group {u_g (x) v_g} that
+    fixes ``target``, up to phases: over the Weyl operators W, {W (x) W*}
+    (Bell-diagonal states), {W (x) W} (Werner states) or, for an isotropic
+    state in any local frame, {X W X^dag (x) W*}.  X is sqrt(d) times the
+    d x d reshape of the target's one eigenvector whose eigenvalue differs
+    from the other d^2 - 1, which must coincide, and X must be unitary.  The
+    first candidate whose two generators (those of shift and clock) leave
+    the target within ``TAU_HERM`` is the group; else it is {1 (x) 1}."""
+    d, m = target.d_a, target.matrix
+    trivial = np.eye(d)[None], np.eye(target.d_b)[None]
+    if target.d_b != d:
+        return trivial
+    w = _weyl_operators(d)
+    candidates = [(w, w.conj()), (w, w)]
+    vals, vecs = np.linalg.eigh(m)
+    for v, rest in ((vecs[:, -1], vals[:-1]), (vecs[:, 0], vals[1:])):
+        x = np.sqrt(d) * v.reshape(d, d)  # (x (x) 1)|phi+> = v
+        if np.ptp(rest) <= TAU_EIG and np.abs(x @ x.conj().T - np.eye(d)).max() <= TAU_EIG:
+            candidates.append((x @ w @ x.conj().T, w.conj()))
+    for us, vs in candidates:
+        gens = [np.kron(us[i], vs[i]) for i in (1, d)]
+        if all(np.abs(g @ m @ g.conj().T - m).max() <= TAU_HERM for g in gens):
+            return us, vs
+    return trivial
+
+
+def _images(us: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The rows u_g x_j of every u_g in ``us`` and row x_j, at g len(x) + j."""
+    return (x @ us.transpose(0, 2, 1)).reshape(-1, x.shape[1])
+
+
 def nearest_separable(
     target: DensityMatrix, cfg: ProjectionConfig = ProjectionConfig()
 ) -> MeasureResult:
@@ -141,11 +179,16 @@ def nearest_separable(
     Jaggi, NeurIPS 2015) over the pure product states.
 
     The iterate holds pure product states x_i = psi_i (x) phi_i with
-    weights w, at first none; the result's ``ProductEnsemble`` holds the
-    last one.  With c_i = <x_i|target|x_i> and G_ij = |<x_i|x_j>|^2 =
-    |<psi_i|psi_j>|^2 |<phi_i|phi_j>|^2 the squared distance is
-    w^T G w - 2 c^T w plus a constant, and an atom's value under
-    grad = 2 (rho - target) is <x_j|grad|x_j> = 2 g_j, g = G w - c.  Each
+    weights w, at first none, each standing for its twirl
+    T(x_i) = mean_g U_g x_i U_g^dag over the target's local group
+    {U_g = u_g (x) v_g} (``_local_group``; {1 (x) 1} when no group is
+    found), so rho = sum_i w_i T(x_i); the result's ``ProductEnsemble``
+    holds the last one as the k |G| images U_g x_i at weights w_i / |G|.
+    With c_i = <x_i|target|x_i> and G_ij = <T(x_i), T(x_j)> =
+    mean_g |<psi_i|u_g psi_j>|^2 |<phi_i|v_g phi_j>|^2 the squared distance
+    is w^T G w - 2 c^T w plus a constant, and an atom's value under
+    grad = 2 (rho - target) is <x_j|grad|x_j> = 2 g_j, g = G w - c, as
+    target and rho are invariant.  Each
     step is a major cycle: the product-state oracle minimizes that value
     from every start, the cold first call from max(``cfg.n_starts``,
     ``SolverConfig.n_starts``) random ones, each later call from
@@ -160,8 +203,13 @@ def nearest_separable(
     enters, and so does the first cycle's minimizer: the minor cycle
     (``_corrective_weights``) re-optimizes the weights exactly and the gaps
     are recomputed.  The atoms left with weight > 0 are the next iterate.
+    The gradient is invariant under the group, so the oracle's minimum over
+    all product states is also its minimum over the twirled atoms, and the
+    gap certifies against the whole separable set.
     """
     d_a, d_b = target.d_a, target.d_b
+    us, vs = _local_group(target)
+    n = len(us)
     w, lin, psis, phis = np.empty(0), np.empty(0), np.empty((0, d_a)), np.empty((0, d_b))
     rho, v_phis = 0.0, phis  # the last call's minimizer is the warm start; none at first
     for it in itertools.count(1):
@@ -170,7 +218,9 @@ def nearest_separable(
         v_vals, v_psis, v_phis = min_over_separable(2 * (rho - target.matrix), d_a, d_b, call_cfg, v_phis[:1])
         psis, phis = np.vstack([psis, v_psis]), np.vstack([phis, v_phis])
         w = np.append(w, np.zeros(len(v_vals)))
-        gram = np.abs(psis.conj() @ psis.T) ** 2 * np.abs(phis.conj() @ phis.T) ** 2
+        overlaps = (np.abs(psis.conj() @ _images(us, psis).T) ** 2
+                    * np.abs(phis.conj() @ _images(vs, phis).T) ** 2)
+        gram = overlaps.reshape(len(w), n, len(w)).sum(1) / n
         lin = np.append(lin, gram[k:] @ w - v_vals / 2)  # v_j = <x_j|grad|x_j> = 2 (G w - c)_j
         gaps = _gaps(gram, lin, w)
         gap = gaps[k]
@@ -182,11 +232,12 @@ def nearest_separable(
                 gaps = _gaps(gram, lin, w)
         keep = w > 0
         w, lin, psis, phis = w[keep], lin[keep], psis[keep], phis[keep]
-        rho = product_mixture(w, psis, phis)
+        rho = product_mixture(np.tile(w, n) / n, _images(us, psis), _images(vs, phis))
 
     result = MeasureResult(
         distance=hs_norm(rho - target.matrix),
-        nearest=ProductEnsemble(w[:k], psis[:k], phis[:k]),  # without the last call's endpoints
+        # the images of the atoms without the last call's endpoints
+        nearest=ProductEnsemble(np.tile(w[:k], n) / n, _images(us, psis[:k]), _images(vs, phis[:k])),
         gap_certificate=max(float(gap), 0.0),
         iterations=it,
         converged=bool(gap < cfg.tol_gap),

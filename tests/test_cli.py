@@ -558,9 +558,17 @@ def test_projection_error_partial_row(monkeypatch, capsys):
     assert b > 0 and float(values["discrepancy"]) == pytest.approx(abs(0.6 - b), abs=1e-11)
 
 
-def test_projection_error_row_from_the_projection(monkeypatch, capsys):
+def test_projection_error_row_from_the_projection(tmp_path, monkeypatch, capsys):
+    # a pure state with white noise that no local group fixes, so the
+    # projection needs more than 2 iterations
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    v /= np.linalg.norm(v)
+    path = tmp_path / "state.json"
+    target = DensityMatrix(0.8 * np.outer(v, v.conj()) + 0.2 * np.eye(9) / 9, 3, 3)
+    path.write_text(json.dumps(density_to_json(target)))
     monkeypatch.setattr(measures, "MAX_OUTER_ITERS", 2)
-    code, out, err = run_cli(capsys, "bnt", "--d", "3", "--alpha", "1.0")
+    code, out, err = run_cli(capsys, "measure", "--state", str(path))
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "after 2 iterations" in err
     values = dict(zip(RESULT_COLUMNS, out.strip().splitlines()[1].split(",")))

@@ -89,10 +89,18 @@ def test_nearest_separable_qutrit_recovers_threshold_state(seed):
     assert np.max(np.abs(nearest.matrix - u @ isotropic(3, 0.25).matrix @ u.conj().T)) <= 1e-3
 
 
+def _rotated_werner(d, p, seed):
+    """``werner(d, p)`` under ``_local_unitary(d, seed)``: no local group is
+    found in its frame, so it takes the projection's general path, which
+    needs more than 2 iterations."""
+    u = _local_unitary(d, seed)
+    return DensityMatrix(u @ werner(d, p).matrix @ u.conj().T, d, d)
+
+
 def test_projection_error_carries_partial_result(monkeypatch):
     monkeypatch.setattr(measures, "MAX_OUTER_ITERS", 2)
     with pytest.raises(ProjectionError) as info:
-        nearest_separable(isotropic(3, 1.0))
+        nearest_separable(_rotated_werner(3, 0.8, 0))
     res = info.value.result
     assert not res.converged and res.iterations == 2
     assert res.gap_certificate >= ProjectionConfig().tol_gap
@@ -103,7 +111,7 @@ def test_projection_error_carries_partial_result(monkeypatch):
 def test_projection_error_reports_one_iterate(monkeypatch, d):
     # the partial result's distance and gap both belong to its nearest state
     monkeypatch.setattr(measures, "MAX_OUTER_ITERS", 2)
-    target = isotropic(d, 1.0)
+    target = _rotated_werner(d, 0.9, 0)
     with pytest.raises(ProjectionError) as info:
         nearest_separable(target)
     res = info.value.result
@@ -132,16 +140,16 @@ def test_cold_first_oracle_call_runs_the_standalone_starts(monkeypatch, cfg, fir
     assert len(calls) > 1 and calls[1:] == [(cfg.n_starts, 1)] * (len(calls) - 1)
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_first_iterate_samples_the_orbit(monkeypatch, d):
+@pytest.mark.parametrize("d, p, eight", [pytest.param(3, 0.8, 5, id="3"), pytest.param(4, 0.9, 7, id="4")])
+def test_first_iterate_samples_the_orbit(monkeypatch, d, p, eight):
     # every endpoint of the cold first call that still has a gap enters, so a
-    # rotated isotropic target's first iterate holds much of the orbit of its
-    # maximal-overlap product states; an 8-start first call leaves 7 or 8 atoms
+    # rotated Werner target's first iterate holds much of the orbit of its
+    # maximal-overlap product states: 9 atoms at d = 3 and 20 at d = 4, where an
+    # 8-start first call leaves ``eight``
     monkeypatch.setattr(measures, "MAX_OUTER_ITERS", 2)
-    u = _local_unitary(d, 0)
     with pytest.raises(ProjectionError) as info:
-        nearest_separable(DensityMatrix(u @ isotropic(d, 1.0).matrix @ u.conj().T, d, d))
-    assert len(info.value.result.nearest.weights) > 9
+        nearest_separable(_rotated_werner(d, p, 0))
+    assert len(info.value.result.nearest.weights) > eight
 
 
 def test_projection_starts_from_the_best_endpoint_whatever_the_tolerance():
@@ -448,13 +456,111 @@ def test_werner_distance_closed_form():
 
 @pytest.mark.parametrize("seed", ROTATIONS)
 def test_nearest_separable_werner_3x3(seed):
-    u = _local_unitary(3, seed)
-    target = DensityMatrix(u @ werner(3, 0.8).matrix @ u.conj().T, 3, 3)
+    target = _rotated_werner(3, 0.8, seed)
     res = nearest_separable(target)
     assert res.converged
     excess = res.distance**2 - werner_distance(3, 0.8) ** 2
-    assert 0 <= excess <= res.gap_certificate + 1e-12
+    # unrotated, the {W (x) W} group makes D exact, so excess may round below 0
+    assert -1e-15 <= excess <= res.gap_certificate + 1e-12
     _assert_optimal_weights(res, target)
+
+
+# The symmetric path: a finite local group {u_g (x) v_g} over the d^2 Weyl
+# operators fixes the target, and Frank-Wolfe runs over twirled atoms.
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("seed", ROTATIONS)
+def test_isotropic_projection_is_exact_in_any_local_frame(d, seed):
+    # d = 6 checks the paper's arbitrary-d formula past d = 4
+    u = _local_unitary(d, seed)
+    target = DensityMatrix(u @ isotropic(d, 0.9).matrix @ u.conj().T, d, d)
+    assert len(measures._local_group(target)[0]) == d * d
+    res = nearest_separable(target)
+    assert res.converged
+    assert res.distance == pytest.approx(hs_measure_isotropic(d, 0.9), abs=1e-10)
+    # the ensemble holds every group image of every atom at an equal share
+    assert len(res.nearest.weights) % (d * d) == 0
+    _assert_optimal_weights(res, target)
+
+
+@pytest.mark.parametrize("d, p", [(3, 0.8), (4, 0.9)])
+def test_werner_projection_is_exact(d, p):
+    res = nearest_separable(werner(d, p))
+    assert len(measures._local_group(werner(d, p))[0]) == d * d
+    assert res.converged
+    assert res.distance == pytest.approx(werner_distance(d, p), abs=1e-10)
+
+
+def horodecki_3x3(alpha):
+    """2/7 P_+ + alpha/7 s_+ + (5 - alpha)/7 s_- with P_+ the maximally
+    entangled projector, s_+ = (|01><01| + |12><12| + |20><20|)/3 and s_-
+    its swap (P., M. & R. Horodecki, PRL 82, 1056 (1999)): separable for
+    2 <= alpha <= 3, PPT-entangled for 3 < alpha <= 4."""
+    v = np.eye(3).ravel() / np.sqrt(3)
+    diag = np.zeros(9)
+    for i in range(3):
+        diag[3 * i + (i + 1) % 3] = alpha / 21
+        diag[3 * ((i + 1) % 3) + i] = (5 - alpha) / 21
+    return DensityMatrix(2 / 7 * np.outer(v, v) + np.diag(diag), 3, 3)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0])
+def test_horodecki_3x3_separable(alpha):
+    res = nearest_separable(horodecki_3x3(alpha))
+    assert res.converged and res.distance**2 <= res.gap_certificate
+
+
+# D_ref from an earlier twirled projection, an upper bound itself: the
+# symmetric path lands 2.0e-9 and 1.2e-9 below them, the general path 3.5e-4
+# and 5.6e-4 above
+@pytest.mark.parametrize("alpha, d_ref", [(3.5, 0.0270308638), (4.0, 0.0554153317)])
+def test_horodecki_3x3_bound_entanglement(alpha, d_ref):
+    # the target is PPT, and the witness at its nearest state detects it: B > 0
+    target = horodecki_3x3(alpha)
+    assert len(measures._local_group(target)[0]) == 9
+    assert is_ppt(target)
+    report = bnt_check(target)
+    assert report.measure.converged
+    assert abs(report.d_value - d_ref) <= 1e-8
+    assert report.b_value > 0 and report.discrepancy <= 1e-8
+
+
+@pytest.mark.parametrize("target", [
+    pytest.param(horodecki_3x3(4.0), id="horodecki-3x3"),
+    pytest.param(DensityMatrix(_local_unitary(4, 1) @ isotropic(4, 1.0).matrix
+                               @ _local_unitary(4, 1).conj().T, 4, 4), id="rotated-isotropic-4"),
+])
+def test_symmetric_gap_matches_a_64_start_oracle(target):
+    # the gradient is invariant under the group, so the gap of the twirled
+    # atoms certifies against every product state
+    res = nearest_separable(target)
+    rho = res.nearest.to_matrix()
+    grad = 2 * (rho - target.matrix)
+    sep_min = min_over_separable(grad, target.d_a, target.d_b, SolverConfig(n_starts=64))[0][0]
+    assert res.gap_certificate == pytest.approx(hs_inner(rho, grad).real - sep_min, abs=1e-9)
+
+
+def _rank1_2x2():
+    """A random-project-style draw: a Haar pure state at purity 0.8 with white noise."""
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v /= np.linalg.norm(v)
+    return DensityMatrix(0.8 * np.outer(v, v.conj()) + 0.2 * np.eye(4) / 4, 2, 2)
+
+
+def _isotropic_with_product_admixture():
+    rng = np.random.default_rng(4)
+    product = ProductEnsemble([1.0], [haar_unitary(3, rng)[:, 0]], [haar_unitary(3, rng)[:, 0]])
+    return DensityMatrix((1 - 1e-6) * isotropic(3, 0.6).matrix + 1e-6 * product.to_matrix(), 3, 3)
+
+
+@pytest.mark.parametrize("make", [npt19, lambda: horodecki_2x4(0.2), _rank1_2x2,
+                                  _isotropic_with_product_admixture],
+                         ids=["npt19", "horodecki-2x4", "rank-1-2x2", "isotropic-admixture"])
+def test_no_group_fixes_a_non_symmetric_target(make):
+    us, vs = measures._local_group(make())
+    assert len(us) == len(vs) == 1
+    assert np.array_equal(us[0], np.eye(us.shape[1])) and np.array_equal(vs[0], np.eye(vs.shape[1]))
 
 
 def test_infinite_d_trend():
