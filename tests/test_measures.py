@@ -89,18 +89,18 @@ def test_nearest_separable_qutrit_recovers_threshold_state(seed):
     assert np.max(np.abs(nearest.matrix - u @ isotropic(3, 0.25).matrix @ u.conj().T)) <= 1e-3
 
 
-def _rotated_werner(d, p, seed):
-    """``werner(d, p)`` under ``_local_unitary(d, seed)``: no local group is
-    found in its frame, so it takes the projection's general path, which
-    needs more than 2 iterations."""
-    u = _local_unitary(d, seed)
-    return DensityMatrix(u @ werner(d, p).matrix @ u.conj().T, d, d)
+def _rotated(state, seed):
+    """A d x d ``state`` under ``_local_unitary(d, seed)``.  A rotated Werner
+    state has no local group that the projection finds, so it takes the
+    general path, which needs more than 2 iterations."""
+    u = _local_unitary(state.d_a, seed)
+    return DensityMatrix(u @ state.matrix @ u.conj().T, state.d_a, state.d_b)
 
 
 def test_projection_error_carries_partial_result(monkeypatch):
     monkeypatch.setattr(measures, "MAX_OUTER_ITERS", 2)
     with pytest.raises(ProjectionError) as info:
-        nearest_separable(_rotated_werner(3, 0.8, 0))
+        nearest_separable(_rotated(werner(3, 0.8), 0))
     res = info.value.result
     assert not res.converged and res.iterations == 2
     assert res.gap_certificate >= ProjectionConfig().tol_gap
@@ -111,7 +111,7 @@ def test_projection_error_carries_partial_result(monkeypatch):
 def test_projection_error_reports_one_iterate(monkeypatch, d):
     # the partial result's distance and gap both belong to its nearest state
     monkeypatch.setattr(measures, "MAX_OUTER_ITERS", 2)
-    target = _rotated_werner(d, 0.9, 0)
+    target = _rotated(werner(d, 0.9), 0)
     with pytest.raises(ProjectionError) as info:
         nearest_separable(target)
     res = info.value.result
@@ -148,7 +148,7 @@ def test_first_iterate_samples_the_orbit(monkeypatch, d, p, eight):
     # 8-start first call leaves ``eight``
     monkeypatch.setattr(measures, "MAX_OUTER_ITERS", 2)
     with pytest.raises(ProjectionError) as info:
-        nearest_separable(_rotated_werner(d, p, 0))
+        nearest_separable(_rotated(werner(d, p), 0))
     assert len(info.value.result.nearest.weights) > eight
 
 
@@ -456,7 +456,7 @@ def test_werner_distance_closed_form():
 
 @pytest.mark.parametrize("seed", ROTATIONS)
 def test_nearest_separable_werner_3x3(seed):
-    target = _rotated_werner(3, 0.8, seed)
+    target = _rotated(werner(3, 0.8), seed)
     res = nearest_separable(target)
     assert res.converged
     excess = res.distance**2 - werner_distance(3, 0.8) ** 2
@@ -472,8 +472,7 @@ def test_nearest_separable_werner_3x3(seed):
 @pytest.mark.parametrize("seed", ROTATIONS)
 def test_isotropic_projection_is_exact_in_any_local_frame(d, seed):
     # d = 6 checks the paper's arbitrary-d formula past d = 4
-    u = _local_unitary(d, seed)
-    target = DensityMatrix(u @ isotropic(d, 0.9).matrix @ u.conj().T, d, d)
+    target = _rotated(isotropic(d, 0.9), seed)
     assert len(measures._local_group(target)[0]) == d * d
     res = nearest_separable(target)
     assert res.converged
@@ -527,8 +526,7 @@ def test_horodecki_3x3_bound_entanglement(alpha, d_ref):
 
 @pytest.mark.parametrize("target", [
     pytest.param(horodecki_3x3(4.0), id="horodecki-3x3"),
-    pytest.param(DensityMatrix(_local_unitary(4, 1) @ isotropic(4, 1.0).matrix
-                               @ _local_unitary(4, 1).conj().T, 4, 4), id="rotated-isotropic-4"),
+    pytest.param(_rotated(isotropic(4, 1.0), 1), id="rotated-isotropic-4"),
 ])
 def test_symmetric_gap_matches_a_64_start_oracle(target):
     # the gradient is invariant under the group, so the gap of the twirled
