@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import TAU_EIG, TAU_HERM, hs_inner, hs_norm, require_integer
+from .linalg import TAU_EIG, hs_inner, hs_norm, require_integer
 from .states import DensityMatrix, IsotropicParams, ProductEnsemble, _weyl_operators, product_mixture
 from .witness import SolverConfig, min_over_separable, witness_candidate
 
@@ -147,7 +147,10 @@ def _local_group(target: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     d x d reshape of the target's one eigenvector whose eigenvalue differs
     from the other d^2 - 1, which must coincide, and X must be unitary.  The
     first candidate whose two generators (those of shift and clock) leave
-    the target within ``TAU_HERM`` is the group; else it is {1 (x) 1}."""
+    the target unchanged to rounding, 64 eps d^2 per entry, is the group;
+    else it is {1 (x) 1}.  The bound is at rounding level because c_i =
+    <x_i|target|x_i> stands for <T(x_i), target>: a target off invariance
+    by more would shift the gap certificate by that much."""
     d, m = target.d_a, target.matrix
     trivial = np.eye(d)[None], np.eye(target.d_b)[None]
     if target.d_b != d:
@@ -159,9 +162,10 @@ def _local_group(target: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
         x = np.sqrt(d) * v.reshape(d, d)  # (x (x) 1)|phi+> = v
         if np.ptp(rest) <= TAU_EIG and np.abs(x @ x.conj().T - np.eye(d)).max() <= TAU_EIG:
             candidates.append((x @ w @ x.conj().T, w.conj()))
+    tol = 64 * np.finfo(float).eps * d * d
     for us, vs in candidates:
         gens = [np.kron(us[i], vs[i]) for i in (1, d)]
-        if all(np.abs(g @ m @ g.conj().T - m).max() <= TAU_HERM for g in gens):
+        if all(np.abs(g @ m @ g.conj().T - m).max() <= tol for g in gens):
             return us, vs
     return trivial
 

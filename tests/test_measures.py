@@ -454,14 +454,19 @@ def test_werner_distance_closed_form():
     assert is_ppt(werner(3, 0.5)) and not is_ppt(werner(3, 0.5 + 1e-6))
 
 
-@pytest.mark.parametrize("seed", ROTATIONS)
-def test_nearest_separable_werner_3x3(seed):
-    target = _rotated(werner(3, 0.8), seed)
+@pytest.mark.parametrize("d, p, seed", [pytest.param(3, 0.8, s.values[0], id=s.id) for s in ROTATIONS]
+                         + [pytest.param(4, 0.9, None, id="unrotated-4x4")])
+def test_nearest_separable_werner_3x3(d, p, seed):
+    target = _rotated(werner(d, p), seed)
     res = nearest_separable(target)
     assert res.converged
-    excess = res.distance**2 - werner_distance(3, 0.8) ** 2
-    # unrotated, the {W (x) W} group makes D exact, so excess may round below 0
-    assert -1e-15 <= excess <= res.gap_certificate + 1e-12
+    if seed is None:
+        # the {W (x) W} group makes D the closed form, to rounding of either sign
+        assert len(measures._local_group(target)[0]) == d * d
+        assert res.distance == pytest.approx(werner_distance(d, p), abs=1e-10)
+    else:
+        excess = res.distance**2 - werner_distance(d, p) ** 2
+        assert 0 <= excess <= res.gap_certificate + 1e-12
     _assert_optimal_weights(res, target)
 
 
@@ -480,14 +485,6 @@ def test_isotropic_projection_is_exact_in_any_local_frame(d, seed):
     # the ensemble holds every group image of every atom at an equal share
     assert len(res.nearest.weights) % (d * d) == 0
     _assert_optimal_weights(res, target)
-
-
-@pytest.mark.parametrize("d, p", [(3, 0.8), (4, 0.9)])
-def test_werner_projection_is_exact(d, p):
-    res = nearest_separable(werner(d, p))
-    assert len(measures._local_group(werner(d, p))[0]) == d * d
-    assert res.converged
-    assert res.distance == pytest.approx(werner_distance(d, p), abs=1e-10)
 
 
 def horodecki_3x3(alpha):
@@ -552,9 +549,19 @@ def _isotropic_with_product_admixture():
     return DensityMatrix((1 - 1e-6) * isotropic(3, 0.6).matrix + 1e-6 * product.to_matrix(), 3, 3)
 
 
+def _isotropic_off_invariance():
+    """``isotropic(3, 0.6)`` plus a traceless Hermitian 5e-11 perturbation:
+    within the Hermiticity tolerance 1e-10, far above rounding."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    h = a + a.conj().T - np.trace(a + a.conj().T) / 9 * np.eye(9)
+    return DensityMatrix(isotropic(3, 0.6).matrix + 5e-11 * h / np.abs(h).max(), 3, 3)
+
+
 @pytest.mark.parametrize("make", [npt19, lambda: horodecki_2x4(0.2), _rank1_2x2,
-                                  _isotropic_with_product_admixture],
-                         ids=["npt19", "horodecki-2x4", "rank-1-2x2", "isotropic-admixture"])
+                                  _isotropic_with_product_admixture, _isotropic_off_invariance],
+                         ids=["npt19", "horodecki-2x4", "rank-1-2x2", "isotropic-admixture",
+                              "isotropic-off-invariance"])
 def test_no_group_fixes_a_non_symmetric_target(make):
     us, vs = measures._local_group(make())
     assert len(us) == len(vs) == 1
