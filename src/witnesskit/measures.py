@@ -4,7 +4,8 @@ iterate a weighted set of product states that starts empty, its major
 cycle the product-state oracle, whose cold first call runs
 max(``n_starts``, 32) starts and each later call ``n_starts`` plus a warm
 start, and whose endpoints from every start may all enter, its minor
-cycle an exact weight step on the atoms' Gram matrix), the generalized
+cycle an exact weight step, one solve of the atoms' Gram matrix reduced by
+the weights' sum and shifted at rounding level), the generalized
 Bell inequality violation and the distance-equals-violation equality
 check.
 
@@ -104,28 +105,23 @@ def _corrective_weights(gram: np.ndarray, lin: np.ndarray, w: np.ndarray, j: int
     simplex by the minor cycle of Wolfe's nearest-point algorithm (Math.
     Programming 11, 1976).  ``w`` is optimal on the atoms with weight; atom
     ``j``, an oracle endpoint with weight 0, enters, and every other atom of
-    weight 0 stays at 0.  The Frank-Wolfe loop is the major cycle.  Solve
-    the KKT system [[G, 1], [1^T, 0]] on the atoms with weight and atom
-    ``j`` by LU, or by least squares if LU fails or leaves a relative
-    residual above 1e-10 (G is singular for affinely dependent atoms), and
-    while a weight of its solution is < 0, step towards it up to the
-    boundary, drop the atom that reaches 0 and solve again.  The result
-    sums to 1."""
+    weight 0 stays at 0.  The Frank-Wolfe loop is the major cycle.  On the
+    atoms s with weight and atom ``j``, v = e_0 + P u, P = [-1^T; I],
+    eliminates sum(v) = 1 through the first; solve H u = b, H = P^T G_ss P
+    (H_ij = G_ij - G_0j - G_i0 + G_00), b_i = c_i - c_0 - G_i0 + G_00.  H is
+    positive semidefinite, singular for affinely dependent atoms, so its
+    diagonal is shifted by len(H) eps tr(H), about its LU's backward error,
+    and one solve serves every case.  While a weight of v is < 0, step
+    towards it up to the boundary, drop the atom that reaches 0 and solve
+    again.  The result sums to 1."""
     w = w.astype(float)
     s = np.append(np.flatnonzero(w > 0), j)
     while True:
-        kkt = np.ones((len(s) + 1, len(s) + 1))
-        kkt[:-1, :-1] = gram[np.ix_(s, s)]
-        kkt[-1, -1] = 0.0
-        rhs = np.append(lin[s], 1.0)
-        try:
-            v = np.linalg.solve(kkt, rhs)
-            singular = np.linalg.norm(kkt @ v - rhs) > 1e-10 * np.linalg.norm(rhs)
-        except np.linalg.LinAlgError:
-            singular = True
-        if singular:
-            v = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        v = v[:-1]
+        dg = gram[s[1:]][:, s] - gram[s[0], s]  # G_ij - G_0j
+        h = dg[:, 1:] - dg[:, :1]
+        h.flat[:: len(h) + 1] += len(h) * np.finfo(float).eps * h.trace()
+        u = np.linalg.solve(h, lin[s[1:]] - lin[s[0]] - dg[:, 0])
+        v = np.concatenate(([1 - u.sum()], u))
         neg = v < 0
         if not neg.any():
             w[s] = v
@@ -205,8 +201,9 @@ def nearest_separable(
     distance, ensemble and gap belong to one iterate.  Otherwise each
     endpoint, in order of value, whose gap is still >= ``cfg.tol_gap``
     enters, and so does the first cycle's minimizer: the minor cycle
-    (``_corrective_weights``) re-optimizes the weights exactly and the gaps
-    are recomputed.  The atoms left with weight > 0 are the next iterate.
+    (``_corrective_weights``) re-optimizes the weights exactly, one shifted
+    solve per active set, and the gaps are recomputed.  The atoms left with
+    weight > 0 are the next iterate.
     The gradient is invariant under the group, so the oracle's minimum over
     all product states is also its minimum over the twirled atoms, and the
     gap certifies against the whole separable set.

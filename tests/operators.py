@@ -1,9 +1,11 @@
-"""Operators that several test modules build: random Hermitian matrices and
-the signed correlation operators of the paper's qubit and qutrit witnesses."""
+"""Operators that several test modules build: random Hermitian matrices,
+the signed correlation operators of the paper's qubit and qutrit witnesses,
+and Werner states with their closed-form distance."""
 
 import numpy as np
 
 from witnesskit.bases import generalized_basis
+from witnesskit.states import DensityMatrix
 
 
 def random_hermitian(rng, dim):
@@ -20,3 +22,22 @@ def lambda_operator():
     lam = generalized_basis(3)
     signs = [1, -1, 1, 1, -1, 1, -1, 1]
     return sum(s * np.kron(g, g) for s, g in zip(signs, lam))
+
+
+def _swap(d):
+    return np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+
+
+def werner(d, p):
+    """p P_a / n_a + (1 - p) P_s / n_s, with P_a, P_s the projectors onto the
+    antisymmetric and symmetric subspaces of C^d x C^d."""
+    n_a, n_s = d * (d - 1) / 2, d * (d + 1) / 2
+    p_a, p_s = (np.eye(d * d) - _swap(d)) / 2, (np.eye(d * d) + _swap(d)) / 2
+    return DensityMatrix(p * p_a / n_a + (1 - p) * p_s / n_s, d, d)
+
+
+def werner_distance(d, p):
+    """Closed form for p > 1/2 (Werner 1989; Vollbrecht & Werner 2001): the
+    nearest separable state is the Werner state at p = 1/2."""
+    n_a, n_s = d * (d - 1) / 2, d * (d + 1) / 2
+    return (p - 0.5) * np.sqrt(1 / n_a + 1 / n_s)

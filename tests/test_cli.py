@@ -19,6 +19,8 @@ from witnesskit.measures import BntReport, MeasureResult, ProjectionConfig, Proj
 from witnesskit.states import DensityMatrix, ProductEnsemble, density_to_json, isotropic
 from witnesskit.witness import MAX_STARTS, SolverConfig, WitnessReport
 
+from operators import werner, werner_distance
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -193,16 +195,19 @@ def test_measure_matches_bnt_columns(capsys):
 
 
 def test_measure_state_file(tmp_path, capsys):
+    # Werner(5, 0.9) takes the {W (x) W} group, whose 25 twirled atoms are
+    # nearly affinely dependent
     path = tmp_path / "state.json"
-    path.write_text(json.dumps(density_to_json(isotropic(2, 0.8))))
-    code, out, _ = run_cli(capsys, "measure", "--state", str(path))
-    assert code == 0
-    header, row = out.strip().splitlines()
-    values = dict(zip(RESULT_COLUMNS, row.split(",")))
-    assert values["d"] == "" and values["D_closed"] == ""
-    assert float(values["D_numeric"]) == pytest.approx(
-        np.sqrt(3) / 2 * (0.8 - 1 / 3), abs=5e-4
-    )
+    for state, distance, tol in [(isotropic(2, 0.8), np.sqrt(3) / 2 * (0.8 - 1 / 3), 5e-4),
+                                 (werner(5, 0.9), werner_distance(5, 0.9), 1e-10)]:
+        path.write_text(json.dumps(density_to_json(state)))
+        code, out, _ = run_cli(capsys, "measure", "--state", str(path))
+        assert code == 0
+        header, row = out.strip().splitlines()
+        values = dict(zip(RESULT_COLUMNS, row.split(",")))
+        assert values["d"] == "" and values["D_closed"] == ""
+        assert values["converged"] == "true"
+        assert float(values["D_numeric"]) == pytest.approx(distance, abs=tol)
 
 
 def test_measure_pure_product_state_file(tmp_path, capsys):
