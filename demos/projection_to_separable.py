@@ -10,7 +10,9 @@ land on it.
 
 An isotropic state is fixed by the finite group {W (x) W*} of local
 unitaries built from the d^2 Weyl operators W = X^k Z^l, and, in any other
-local frame, by a conjugate of it.  Twirling by such a group keeps the
+local frame, by a conjugate of it.  A Werner state, whose partial
+transpose is isotropic up to a local frame, is fixed by {W (x) W} or a
+conjugate of it in the same way.  Twirling by such a group keeps the
 separable set and the target, so the nearest separable state is invariant
 too: the projection runs over twirled product states, with only their Gram
 matrix averaged over the group, and its nearest ensemble holds every group

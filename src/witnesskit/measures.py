@@ -10,7 +10,8 @@ Bell inequality violation and the distance-equals-violation equality
 check.
 
 The projection's atoms are twirled by a finite group of local unitaries
-that fixes the target ({1 (x) 1} if none is found).  The twirl keeps the
+that fixes the target, found by one frame rule over the target and its
+partial transpose ({1 (x) 1} if none is found).  The twirl keeps the
 separable set, so the nearest separable state is invariant (Vollbrecht &
 Werner, PRA 64, 062307 (2001)); only the Gram matrix and the iterate's
 images change, and the invariant gradient lets the gap certify as before.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import TAU_EIG, hs_inner, hs_norm, require_integer
+from .linalg import TAU_EIG, hs_inner, hs_norm, partial_transpose, require_integer
 from .states import DensityMatrix, IsotropicParams, ProductEnsemble, _weyl_operators, product_mixture
 from .witness import SolverConfig, min_over_separable, witness_candidate
 
@@ -137,27 +138,29 @@ def _corrective_weights(gram: np.ndarray, lin: np.ndarray, w: np.ndarray, j: int
 
 def _local_group(target: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Stacked local unitaries (us, vs) of a finite group {u_g (x) v_g} that
-    fixes ``target``, up to phases: over the Weyl operators W, {W (x) W*}
-    (Bell-diagonal states), {W (x) W} (Werner states) or, for an isotropic
-    state in any local frame, {X W X^dag (x) W*}.  X is sqrt(d) times the
-    d x d reshape of the target's one eigenvector whose eigenvalue differs
-    from the other d^2 - 1, which must coincide, and X must be unitary.  The
-    first candidate whose two generators (those of shift and clock) leave
-    the target unchanged to rounding, 64 eps d^2 per entry, is the group;
-    else it is {1 (x) 1}.  The bound is at rounding level because c_i =
-    <x_i|target|x_i> stands for <T(x_i), target>: a target off invariance
-    by more would shift the gap certificate by that much."""
+    fixes ``target`` T, up to phases, by one rule over A = T with v = W* and
+    A = T^Gamma with v = W, over the Weyl operators W (u (x) v fixes T^Gamma
+    exactly when u (x) v* fixes T).  The candidates are {x W x^dag (x) v}:
+    x = 1 first, {W (x) W*} (Bell-diagonal states) and {W (x) W} (Werner),
+    then x = sqrt(d) times the d x d reshape of A's one eigenvector whose
+    eigenvalue differs from the other d^2 - 1, which must coincide, if x is
+    unitary.  The first candidate whose two generators (shift and clock)
+    leave T unchanged to rounding, 64 eps d^2 per entry, is the group; else
+    {1 (x) 1}.  The bound is at rounding level because c_i = <x_i|T|x_i>
+    stands for <T(x_i), T>: an off-invariance would shift the gap as much."""
     d, m = target.d_a, target.matrix
     trivial = np.eye(d)[None], np.eye(target.d_b)[None]
     if target.d_b != d:
         return trivial
     w = _weyl_operators(d)
-    candidates = [(w, w.conj()), (w, w)]
-    vals, vecs = np.linalg.eigh(m)
-    for v, rest in ((vecs[:, -1], vals[:-1]), (vecs[:, 0], vals[1:])):
-        x = np.sqrt(d) * v.reshape(d, d)  # (x (x) 1)|phi+> = v
-        if np.ptp(rest) <= TAU_EIG and np.abs(x @ x.conj().T - np.eye(d)).max() <= TAU_EIG:
-            candidates.append((x @ w @ x.conj().T, w.conj()))
+    pairs = ((m, w.conj()), (partial_transpose(m, d, d), w))
+    candidates = [(w, v) for _, v in pairs]
+    for a, v in pairs:
+        vals, vecs = np.linalg.eigh(a)
+        for e, rest in ((vecs[:, -1], vals[:-1]), (vecs[:, 0], vals[1:])):
+            x = np.sqrt(d) * e.reshape(d, d)  # (x (x) 1)|phi+> = e
+            if np.ptp(rest) <= TAU_EIG and np.abs(x @ x.conj().T - np.eye(d)).max() <= TAU_EIG:
+                candidates.append((x @ w @ x.conj().T, v))
     tol = 64 * np.finfo(float).eps * d * d
     for us, vs in candidates:
         gens = [np.kron(us[i], vs[i]) for i in (1, d)]

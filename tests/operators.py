@@ -1,11 +1,12 @@
 """Operators that several test modules build: random Hermitian matrices,
 the signed correlation operators of the paper's qubit and qutrit witnesses,
-and Werner states with their closed-form distance."""
+Werner states with their closed-form distance, and seeded local-unitary
+images of a state."""
 
 import numpy as np
 
 from witnesskit.bases import generalized_basis
-from witnesskit.states import DensityMatrix
+from witnesskit.states import DensityMatrix, haar_unitary
 
 
 def random_hermitian(rng, dim):
@@ -41,3 +42,22 @@ def werner_distance(d, p):
     nearest separable state is the Werner state at p = 1/2."""
     n_a, n_s = d * (d - 1) / 2, d * (d + 1) / 2
     return (p - 0.5) * np.sqrt(1 / n_a + 1 / n_s)
+
+
+def _local_unitary(d, seed):
+    """U_A (x) U_B of seeded Haar unitaries on C^d, or the identity for seed
+    None.  The separable set is invariant under it, so it maps a target's
+    nearest separable state to that of the rotated target and keeps D."""
+    if seed is None:
+        return np.eye(d * d)
+    rng = np.random.default_rng(seed)
+    return np.kron(haar_unitary(d, rng), haar_unitary(d, rng))
+
+
+def _rotated(state, seed):
+    """A d x d ``state`` under ``_local_unitary(d, seed)``.  The rotation
+    hides the computational-basis group {W (x) W*} or {W (x) W}, so an
+    isotropic or Werner target's group is found in the frame of an
+    eigenvector of it or of its partial transpose."""
+    u = _local_unitary(state.d_a, seed)
+    return DensityMatrix(u @ state.matrix @ u.conj().T, state.d_a, state.d_b)

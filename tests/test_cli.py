@@ -19,7 +19,7 @@ from witnesskit.measures import BntReport, MeasureResult, ProjectionConfig, Proj
 from witnesskit.states import DensityMatrix, ProductEnsemble, density_to_json, isotropic
 from witnesskit.witness import MAX_STARTS, SolverConfig, WitnessReport
 
-from operators import werner, werner_distance
+from operators import _rotated, werner, werner_distance
 
 
 def run_cli(capsys, *argv):
@@ -196,10 +196,12 @@ def test_measure_matches_bnt_columns(capsys):
 
 def test_measure_state_file(tmp_path, capsys):
     # Werner(5, 0.9) takes the {W (x) W} group, whose 25 twirled atoms are
-    # nearly affinely dependent
+    # nearly affinely dependent; a rotated Werner(4, 0.9) finds that group in
+    # the frame of its partial transpose
     path = tmp_path / "state.json"
     for state, distance, tol in [(isotropic(2, 0.8), np.sqrt(3) / 2 * (0.8 - 1 / 3), 5e-4),
-                                 (werner(5, 0.9), werner_distance(5, 0.9), 1e-10)]:
+                                 (werner(5, 0.9), werner_distance(5, 0.9), 1e-10),
+                                 (_rotated(werner(4, 0.9), 0), werner_distance(4, 0.9), 1e-10)]:
         path.write_text(json.dumps(density_to_json(state)))
         code, out, _ = run_cli(capsys, "measure", "--state", str(path))
         assert code == 0

@@ -12,7 +12,7 @@ from witnesskit.linalg import (
     require_hermitian,
 )
 from witnesskit.bases import bloch_decompose, generalized_basis
-from witnesskit.states import DensityMatrix, max_entangled
+from witnesskit.states import DensityMatrix, haar_unitary, max_entangled
 from witnesskit.witness import min_over_separable
 
 from operators import random_hermitian
@@ -165,6 +165,18 @@ def test_partial_transpose_involution():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     assert np.array_equal(partial_transpose(partial_transpose(m, 2, 3), 2, 3), m)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_partial_transpose_swaps_local_symmetries(d):
+    # (u (x) v) A^Gamma (u (x) v)^dag = ((u (x) v*) A (u (x) v*)^dag)^Gamma, so
+    # u (x) v fixes A^Gamma exactly when u (x) v* fixes A
+    rng = np.random.default_rng(9 + d)
+    u, v = haar_unitary(d, rng), haar_unitary(d, rng)
+    a = random_hermitian(rng, d * d)
+    g, g_conj = np.kron(u, v), np.kron(u, v.conj())
+    lhs = g @ partial_transpose(a, d, d) @ g.conj().T
+    assert np.allclose(lhs, partial_transpose(g_conj @ a @ g_conj.conj().T, d, d), atol=1e-12)
 
 
 def test_partial_transpose_preserves_trace_and_hermiticity():

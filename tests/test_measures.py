@@ -19,7 +19,7 @@ from witnesskit.measures import (
 from witnesskit.states import DensityMatrix, ProductEnsemble, haar_unitary, is_ppt, isotropic
 from witnesskit.witness import SolverConfig, min_over_separable, optimal_witness_isotropic
 
-from operators import werner, werner_distance
+from operators import _local_unitary, _rotated, werner, werner_distance
 
 
 def test_hs_distance_isotropic_pair():
@@ -68,16 +68,6 @@ def test_nearest_separable_of_separable_state():
     assert res.distance <= 1e-4
 
 
-def _local_unitary(d, seed):
-    """U_A (x) U_B of seeded Haar unitaries on C^d, or the identity for seed
-    None.  The separable set is invariant under it, so it maps a target's
-    nearest separable state to that of the rotated target and keeps D."""
-    if seed is None:
-        return np.eye(d * d)
-    rng = np.random.default_rng(seed)
-    return np.kron(haar_unitary(d, rng), haar_unitary(d, rng))
-
-
 # the unrotated closed-form targets and seeded local-unitary images of them
 ROTATIONS = [pytest.param(None, id="unrotated")] + [pytest.param(s, id=f"seed{s}") for s in range(3)]
 
@@ -91,15 +81,14 @@ def test_nearest_separable_qutrit_recovers_threshold_state(seed):
     assert np.max(np.abs(nearest.matrix - u @ isotropic(3, 0.25).matrix @ u.conj().T)) <= 1e-3
 
 
-def _rotated(state, seed):
-    """A d x d ``state`` under ``_local_unitary(d, seed)``.  A rotated Werner
-    state has no local group that the projection finds, so it takes the
-    general path, which needs more than 2 iterations."""
-    u = _local_unitary(state.d_a, seed)
-    return DensityMatrix(u @ state.matrix @ u.conj().T, state.d_a, state.d_b)
+@pytest.fixture
+def general_path(monkeypatch):
+    """The projection finds no local group, so a symmetric target takes the
+    general path over untwirled atoms."""
+    monkeypatch.setattr(measures, "_local_group", lambda t: (np.eye(t.d_a)[None], np.eye(t.d_b)[None]))
 
 
-def test_projection_error_carries_partial_result(monkeypatch):
+def test_projection_error_carries_partial_result(monkeypatch, general_path):
     monkeypatch.setattr(measures, "MAX_OUTER_ITERS", 2)
     with pytest.raises(ProjectionError) as info:
         nearest_separable(_rotated(werner(3, 0.8), 0))
@@ -110,7 +99,7 @@ def test_projection_error_carries_partial_result(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [3, 4])
-def test_projection_error_reports_one_iterate(monkeypatch, d):
+def test_projection_error_reports_one_iterate(monkeypatch, general_path, d):
     # the partial result's distance and gap both belong to its nearest state
     monkeypatch.setattr(measures, "MAX_OUTER_ITERS", 2)
     target = _rotated(werner(d, 0.9), 0)
@@ -143,11 +132,11 @@ def test_cold_first_oracle_call_runs_the_standalone_starts(monkeypatch, cfg, fir
 
 
 @pytest.mark.parametrize("d, p, eight", [pytest.param(3, 0.8, 5, id="3"), pytest.param(4, 0.9, 7, id="4")])
-def test_first_iterate_samples_the_orbit(monkeypatch, d, p, eight):
-    # every endpoint of the cold first call that still has a gap enters, so a
-    # rotated Werner target's first iterate holds much of the orbit of its
-    # maximal-overlap product states: 9 atoms at d = 3 and 20 at d = 4, where an
-    # 8-start first call leaves ``eight``
+def test_first_iterate_samples_the_orbit(monkeypatch, general_path, d, p, eight):
+    # every endpoint of the cold first call that still has a gap enters, so on
+    # the general path a rotated Werner target's first iterate holds much of
+    # the orbit of its maximal-overlap product states: 9 atoms at d = 3 and 20
+    # at d = 4, where an 8-start first call leaves ``eight``
     monkeypatch.setattr(measures, "MAX_OUTER_ITERS", 2)
     with pytest.raises(ProjectionError) as info:
         nearest_separable(_rotated(werner(d, p), 0))
@@ -436,22 +425,28 @@ def test_werner_distance_closed_form():
 
 
 @pytest.mark.parametrize("d, p, seed", [pytest.param(3, 0.8, s.values[0], id=s.id) for s in ROTATIONS]
-                         + [pytest.param(4, 0.9, None, id="unrotated-4x4"),
-                            pytest.param(5, 0.9, None, id="unrotated-5x5"),
-                            pytest.param(6, 0.9, None, id="unrotated-6x6")])
+                         + [pytest.param(d, 0.9, None, id=f"unrotated-{d}x{d}") for d in (4, 5, 6)]
+                         + [pytest.param(d, 0.9, s, id=f"seed{s}-{d}x{d}") for d in (4, 5) for s in range(3)]
+                         + [pytest.param(6, 0.9, 0, id="seed0-6x6")])
 def test_nearest_separable_werner(d, p, seed):
+    # {W (x) W}, found in the frame of T^Gamma's isotropic eigenvector once
+    # rotated, makes D the closed form, to rounding of either sign; from d = 5
+    # its twirled atoms are nearly affinely dependent
     target = _rotated(werner(d, p), seed)
+    assert len(measures._local_group(target)[0]) == d * d
+    res = nearest_separable(target)
+    assert res.converged and res.iterations <= 50
+    assert res.distance == pytest.approx(werner_distance(d, p), abs=1e-10)
+    _assert_optimal_weights(res, target)
+
+
+def test_nearest_separable_werner_on_the_general_path(general_path):
+    # over untwirled atoms the heuristic D is an upper bound within the gap
+    target = _rotated(werner(3, 0.8), 0)
     res = nearest_separable(target)
     assert res.converged
-    if seed is None:
-        # the {W (x) W} group makes D the closed form, to rounding of either
-        # sign; from d = 5 its twirled atoms are nearly affinely dependent
-        assert len(measures._local_group(target)[0]) == d * d
-        assert res.distance == pytest.approx(werner_distance(d, p), abs=1e-10)
-        assert res.iterations <= 50
-    else:
-        excess = res.distance**2 - werner_distance(d, p) ** 2
-        assert 0 <= excess <= res.gap_certificate + 1e-12
+    excess = res.distance**2 - werner_distance(3, 0.8) ** 2
+    assert 0 <= excess <= res.gap_certificate + 1e-12
     _assert_optimal_weights(res, target)
 
 
@@ -543,10 +538,13 @@ def _isotropic_off_invariance():
     return DensityMatrix(isotropic(3, 0.6).matrix + 5e-11 * h / np.abs(h).max(), 3, 3)
 
 
+# a rotated Horodecki 3x3 state keeps a torus of local symmetries, but
+# neither it nor its partial transpose has an isotropic eigenvector frame
 @pytest.mark.parametrize("make", [npt19, lambda: horodecki_2x4(0.2), _rank1_2x2,
-                                  _isotropic_with_product_admixture, _isotropic_off_invariance],
+                                  _isotropic_with_product_admixture, _isotropic_off_invariance,
+                                  lambda: _rotated(horodecki_3x3(4.0), 2)],
                          ids=["npt19", "horodecki-2x4", "rank-1-2x2", "isotropic-admixture",
-                              "isotropic-off-invariance"])
+                              "isotropic-off-invariance", "rotated-horodecki-3x3"])
 def test_no_group_fixes_a_non_symmetric_target(make):
     us, vs = measures._local_group(make())
     assert len(us) == len(vs) == 1
