@@ -1,10 +1,11 @@
-"""Operator bases for qudits: the generalized Gell-Mann generators of
-SU(d), which ``generalized_basis(d)`` returns as one (d^2 - 1, d, d) array,
-and the Bloch matrix of a bipartite operator in their product basis.
+"""Operator bases for qudits, each written into one array: the generalized
+Gell-Mann generators of SU(d), ``generalized_basis(d)`` of shape
+(d^2 - 1, d, d), and the d^2 Weyl operators X^k Z^l, ``_weyl_operators(d)``
+of shape (d^2, d, d), which generate the projection's local groups.
 ``generalized_basis(2)`` is the Pauli set and ``generalized_basis(3)`` the
 Gell-Mann set in the order lambda^1..lambda^8.  ``bloch_decompose(rho, d_a,
-d_b)`` and ``bloch_compose(c, d_a, d_b)`` take the subsystem dimensions and
-build both bases themselves.
+d_b)`` and ``bloch_compose(c, d_a, d_b)`` give the Bloch matrix of a
+bipartite operator in the generators' product basis.
 
 The generators satisfy Tr g^i = 0 and Tr g^i g^j = 2 delta_ij.
 """
@@ -31,25 +32,27 @@ def generalized_basis(d: int) -> np.ndarray:
     Pauli set for d = 2.
     """
     require_integer("d", d, 2)
-    sym, anti, diag = [], [], []
-    for j in range(d):
-        for k in range(j + 1, d):
-            s = np.zeros((d, d), dtype=complex)
-            s[j, k] = s[k, j] = 1
-            sym.append(s)
-            a = np.zeros((d, d), dtype=complex)
-            a[j, k] = -1j
-            a[k, j] = 1j
-            anti.append(a)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(l), np.arange(l)] = 1
-        m[l, l] = -l
-        diag.append(np.sqrt(2 / (l * (l + 1))) * m)
-    gens = sym + anti + diag
-    if d == 3:
-        gens = [gens[i] for i in _GELL_MANN_PERMUTATION]
-    return np.array(gens)
+    n = d * (d - 1) // 2
+    g = np.zeros((d * d - 1, d, d), dtype=complex)
+    i, (j, k) = np.arange(n), np.triu_indices(d, 1)
+    g[i, j, k] = g[i, k, j] = 1
+    g[n + i, j, k], g[n + i, k, j] = -1j, 1j
+    # diagonal generator l: sqrt(2/(l(l+1))) (1, .., 1, -l, 0, ..)
+    l = np.arange(1, d)
+    diag = np.tri(d - 1, d)
+    diag[l - 1, l] = -l
+    g[2 * n:, np.arange(d), np.arange(d)] = np.sqrt(2 / (l * (l + 1)))[:, None] * diag
+    return g[list(_GELL_MANN_PERMUTATION)] if d == 3 else g
+
+
+def _weyl_operators(d: int) -> np.ndarray:
+    """The d^2 Weyl operators W_kl = X^k Z^l, with shift X|j> = |j+1 mod d>
+    and clock Z|j> = w^j |j>, w = exp(2 pi i / d), as a (d^2, d, d) array
+    with W_kl at k d + l: X at d and Z at 1 generate them up to phases."""
+    k, l, j = np.indices((d, d, d))
+    w = np.zeros((d, d, d, d), dtype=complex)
+    w[k, l, (j + k) % d, j] = np.exp(2j * np.pi * (l * j % d) / d)
+    return w.reshape(d * d, d, d)
 
 
 def _with_identity(d: int) -> np.ndarray:

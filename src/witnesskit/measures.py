@@ -26,8 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bases import _weyl_operators
 from .linalg import TAU_EIG, hs_inner, hs_norm, partial_transpose, require_integer
-from .states import DensityMatrix, IsotropicParams, ProductEnsemble, _weyl_operators, product_mixture
+from .states import DensityMatrix, IsotropicParams, ProductEnsemble, product_mixture
 from .witness import SolverConfig, min_over_separable, witness_candidate
 
 #: Frank-Wolfe iterations before the projection gives up with ProjectionError

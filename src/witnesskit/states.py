@@ -133,16 +133,6 @@ def max_entangled(d: int) -> np.ndarray:
     return v
 
 
-def _weyl_operators(d: int) -> np.ndarray:
-    """The d^2 Weyl operators W_kl = X^k Z^l, with shift X|j> = |j+1 mod d>
-    and clock Z|j> = w^j |j>, w = exp(2 pi i / d), as a (d^2, d, d) array
-    with W_kl at k d + l: X at d and Z at 1 generate them up to phases."""
-    k, l, j = np.indices((d, d, d))
-    w = np.zeros((d, d, d, d), dtype=complex)
-    w[k, l, (j + k) % d, j] = np.exp(2j * np.pi * (l * j % d) / d)
-    return w.reshape(d * d, d, d)
-
-
 def isotropic(d: int, alpha: float) -> DensityMatrix:
     """Isotropic state: alpha-weighted maximally entangled projector mixed
     with white noise."""

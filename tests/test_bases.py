@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from witnesskit.bases import bloch_compose, bloch_decompose, generalized_basis
+from witnesskit.bases import _weyl_operators, bloch_compose, bloch_decompose, generalized_basis
 from witnesskit.linalg import DimensionMismatchError, hs_inner
-from witnesskit.states import DensityMatrix, isotropic
+from witnesskit.states import DensityMatrix, isotropic, max_entangled
 
 
 def generator_class(g):
@@ -54,8 +54,37 @@ def test_generalized_basis_invariants(d):
 
 
 def test_generalized_basis_class_counts():
-    classes = [generator_class(g) for g in generalized_basis(4)]
-    assert classes == ["symmetric"] * 6 + ["antisymmetric"] * 6 + ["diagonal"] * 3
+    # for d >= 4 the blocks keep their order: the i-th symmetric and the i-th
+    # antisymmetric generator sit on the i-th pair j < k in lexicographic order,
+    # then the diagonal generator l is sqrt(2/(l(l+1))) (1, .., 1, -l, 0, ..)
+    for d in (4, 5):
+        g = generalized_basis(d)
+        pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+        n = len(pairs)
+        classes = [generator_class(x) for x in g]
+        assert classes == ["symmetric"] * n + ["antisymmetric"] * n + ["diagonal"] * (d - 1)
+        for i, (j, k) in enumerate(pairs):
+            for x in (g[i], g[n + i]):
+                assert {tuple(map(int, jk)) for jk in np.argwhere(x)} == {(j, k), (k, j)}
+            assert (g[i][j, k], g[n + i][j, k]) == (1, -1j)
+        for l in range(1, d):
+            diag = np.sqrt(2 / (l * (l + 1))) * np.array([1] * l + [-l] + [0] * (d - l - 1))
+            assert np.array_equal(np.diag(g[2 * n + l - 1]), diag)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_weyl_operators(d):
+    # d^2 unitaries, orthogonal in the Hilbert-Schmidt product, X at d and Z
+    # at 1, and W (x) W* fixes the maximally entangled vector
+    w = _weyl_operators(d)
+    assert w.shape == (d * d, d, d)
+    assert np.allclose(np.einsum("kab,lab->kl", w.conj(), w), d * np.eye(d * d), atol=1e-12)
+    assert np.array_equal(w[d], np.roll(np.eye(d), 1, axis=0))
+    assert np.allclose(w[1], np.diag(np.exp(2j * np.pi * np.arange(d) / d)), atol=1e-15)
+    assert np.allclose(w[d + 1], w[d] @ w[1], atol=1e-15)
+    phi = max_entangled(d)
+    for u in w:
+        assert np.allclose(np.kron(u, u.conj()) @ phi, phi, atol=1e-12)
 
 
 def test_generalized_reduces_to_pauli():

@@ -18,7 +18,6 @@ from witnesskit.states import (
     isotropic_gamma_form,
     max_entangled,
     twirl_invariance_check,
-    _weyl_operators,
 )
 from witnesskit.bases import bloch_decompose, generalized_basis
 from witnesskit.linalg import hs_norm
@@ -132,21 +131,6 @@ def test_gamma_operator_norm():
     # ||Gamma||^2 = 4 (d^2 - 1)
     for d in (2, 3, 4):
         assert hs_norm(gamma_operator(d)) == pytest.approx(2 * np.sqrt(d**2 - 1))
-
-
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_weyl_operators(d):
-    # d^2 unitaries, orthogonal in the Hilbert-Schmidt product, X at d and Z
-    # at 1, and W (x) W* fixes the maximally entangled vector
-    w = _weyl_operators(d)
-    assert w.shape == (d * d, d, d)
-    assert np.allclose(np.einsum("kab,lab->kl", w.conj(), w), d * np.eye(d * d), atol=1e-12)
-    assert np.array_equal(w[d], np.roll(np.eye(d), 1, axis=0))
-    assert np.allclose(w[1], np.diag(np.exp(2j * np.pi * np.arange(d) / d)), atol=1e-15)
-    assert np.allclose(w[d + 1], w[d] @ w[1], atol=1e-15)
-    phi = max_entangled(d)
-    for u in w:
-        assert np.allclose(np.kron(u, u.conj()) @ phi, phi, atol=1e-12)
 
 
 def test_twirl_invariance_isotropic():
@@ -306,6 +290,10 @@ def test_density_matrix_validation():
                  id="solver-none-n_starts"),
     pytest.param(partial(SolverConfig, n_starts=0), ValueError, "need n_starts >= 1, got 0",
                  id="solver-n_starts-0"),
+    pytest.param(partial(SolverConfig, n_starts=-1), ValueError, "need n_starts >= 1, got -1",
+                 id="solver-n_starts-negative"),
+    pytest.param(partial(SolverConfig, n_starts="abc"), ValueError, "n_starts must be an integer, got 'abc'",
+                 id="solver-str-n_starts"),
     # refused before the solver allocates anything
     pytest.param(partial(SolverConfig, n_starts=MAX_STARTS + 1), ValueError,
                  f"need n_starts <= {MAX_STARTS}, got {MAX_STARTS + 1}", id="solver-n_starts-above-cap"),

@@ -461,12 +461,3 @@ def test_chsh_max_bounds_random_settings(rank):
 def test_chsh_max_rejects_qutrits():
     with pytest.raises(DimensionMismatchError):
         chsh_max_violation(isotropic(3, 0.5))
-
-
-@pytest.mark.parametrize("settings", [
-    {"n_starts": 0}, {"n_starts": -1}, {"n_starts": "abc"}, {"n_starts": 2.0},
-    {"max_iters": 0}, {"max_iters": True}, {"seed": -1}, {"seed": None},
-])
-def test_solver_config_rejects_bad_settings(settings):
-    with pytest.raises(ValueError):
-        SolverConfig(**settings)
