@@ -1,13 +1,9 @@
 """Hilbert-Schmidt distance machinery: closed forms for isotropic states,
 a projection onto the separable set by one Wolfe nearest-point loop (its
-iterate a weighted set of product states that starts empty, its major
-cycle the product-state oracle, whose cold first call runs
-max(``n_starts``, 32) starts and each later call ``n_starts`` plus a warm
-start, and whose endpoints from every start may all enter, its minor
-cycle an exact weight step, one solve of the atoms' Gram matrix reduced by
-the weights' sum and shifted at rounding level), the generalized
-Bell inequality violation and the distance-equals-violation equality
-check.
+major cycle the product-state oracle, its minor cycle an exact weight
+step; ``nearest_separable`` and ``_corrective_weights`` say how), the
+generalized Bell inequality violation and the distance-equals-violation
+equality check.
 
 The projection's atoms are twirled by a finite group of local unitaries
 that fixes the target, found by one frame rule over the target and its
@@ -113,15 +109,16 @@ def _corrective_weights(gram: np.ndarray, lin: np.ndarray, w: np.ndarray, j: int
     (H_ij = G_ij - G_0j - G_i0 + G_00), b_i = c_i - c_0 - G_i0 + G_00.  H is
     positive semidefinite, singular for affinely dependent atoms, so its
     diagonal is shifted by len(H) eps tr(H), about its LU's backward error,
-    and one solve serves every case.  While a weight of v is < 0, step
-    towards it up to the boundary, drop the atom that reaches 0 and solve
-    again.  The result sums to 1."""
+    or, where rounding leaves tr(H) <= 0 (atom ``j`` nearly a copy of the
+    one atom with weight), by len(H) eps 8 G_00; one solve serves every
+    case.  While a weight of v is < 0, step towards it up to the boundary,
+    drop the atom that reaches 0 and solve again.  The result sums to 1."""
     w = w.astype(float)
     s = np.append(np.flatnonzero(w > 0), j)
     while True:
         dg = gram[s[1:]][:, s] - gram[s[0], s]  # G_ij - G_0j
         h = dg[:, 1:] - dg[:, :1]
-        h.flat[:: len(h) + 1] += len(h) * np.finfo(float).eps * h.trace()
+        h.flat[::len(h) + 1] += len(h) * np.finfo(float).eps * (max(h.trace(), 0) or 8 * gram[s[0], s[0]])
         u = np.linalg.solve(h, lin[s[1:]] - lin[s[0]] - dg[:, 0])
         v = np.concatenate(([1 - u.sum()], u))
         neg = v < 0
@@ -237,12 +234,12 @@ def nearest_separable(
                 gaps = _gaps(gram, lin, w)
         keep = w > 0
         w, lin, psis, phis = w[keep], lin[keep], psis[keep], phis[keep]
-        rho = product_mixture(np.tile(w, n) / n, _images(us, psis), _images(vs, phis))
+        ensemble = np.tile(w, n) / n, _images(us, psis), _images(vs, phis)
+        rho = product_mixture(*ensemble)
 
     result = MeasureResult(
         distance=hs_norm(rho - target.matrix),
-        # the images of the atoms without the last call's endpoints
-        nearest=ProductEnsemble(np.tile(w[:k], n) / n, _images(us, psis[:k]), _images(vs, phis[:k])),
+        nearest=ProductEnsemble(*ensemble),
         gap_certificate=max(float(gap), 0.0),
         iterations=it,
         converged=bool(gap < cfg.tol_gap),

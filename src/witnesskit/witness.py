@@ -162,7 +162,7 @@ def _multistart(m, d_a, d_b, cfg, extra_starts):
         decrease = value - w
         psi, phi = np.where(ok[:, None], va[:, :, 0], psi), np.where(ok[:, None], vb[:, :, 0], phi)
         value = np.where(ok, w, value)
-        proposal, predicted = _newton_step(m, va, vb, value, length)
+        proposal, predicted = _newton_step(m, va, vb, length)
         done = ok & (decrease < TOL_CONV) & ((predicted < TOL_CONV) | ~plain)
         plain = ~ok
         if done.any():
@@ -181,7 +181,7 @@ def _multistart(m, d_a, d_b, cfg, extra_starts):
     return values[order], psis[order], phis[order]
 
 
-def _second_order(a, va, vb, value):
+def _second_order(a, va, vb):
     """Riemannian gradient and Hessian at each start: ``(grad, hess)``.
 
     Column 0 of each unitary ``va`` (``vb``) is psi (phi); its other columns
@@ -189,9 +189,9 @@ def _second_order(a, va, vb, value):
     ({phi, i phi}), any such basis serving.  The quotient at normalized
     (psi + pa u, phi + pb v) is
     g + 2 Re(r^H w) + w^H (J^H a J - g) w + 2 Re(u^T pa^T conj(Y) pb v) to
-    second order, with w = (u, v), J = [pa x phi, psi x pb], r = J^H a
-    |psi phi> and Y the d_a x d_b reshape of a |psi phi>.  ``grad`` and
-    ``hess`` refer to the real coordinates (Re w, Im w).
+    second order, with g = <psi phi|a|psi phi> at this point, w = (u, v),
+    J = [pa x phi, psi x pb], r = J^H a |psi phi> and Y the d_a x d_b
+    reshape of a |psi phi>; ``grad`` and ``hess`` use (Re w, Im w).
     """
     n, d_a, d_b = len(va), va.shape[1], vb.shape[1]
     na, nb = d_a - 1, d_b - 1
@@ -201,7 +201,7 @@ def _second_order(a, va, vb, value):
                            psi[:, :, None, None] * pb[:, None, :, :]], axis=3).reshape(n, d_a * d_b, -1)
     a_cols = a @ cols
     gram = cols.conj().transpose(0, 2, 1) @ a_cols  # row and column 0 hold <psi phi|a|psi phi> and r
-    gram.reshape(n, -1)[:, ::na + nb + 2] -= value[:, None]  # the diagonal, in place
+    gram.reshape(n, -1)[:, ::na + nb + 2] -= gram[:, :1, 0].real.copy()  # the diagonal less g, in place
     r, k = gram[:, 1:, 0], gram[:, 1:, 1:]
     y = a_cols[:, :, 0].reshape(n, d_a, d_b)
     c = np.zeros_like(k)
@@ -214,16 +214,19 @@ def _second_order(a, va, vb, value):
     return 2 * np.concatenate([r.real, r.imag], axis=1), hess
 
 
-def _newton_step(a, va, vb, value, length):
+def _newton_step(a, va, vb, length):
     """Damped Newton step for each start, in the tangent bases of
-    ``_second_order``: the proposed phi (the phi part of the step, scaled by
-    ``length``) and the decrease the model predicts.
+    ``_second_order``: the proposed phi, phi + pb v with v the phi part of
+    the step scaled by ``length``, and the decrease the model predicts.
 
     The Hessian is shifted by max(0, -lowest eigenvalue) + |gradient|
     (Levenberg-Marquardt), so that no step heads for a saddle point and the
     system stays regular along orbits of minimizers, where it is singular.
+    The shift bounds the step's norm by 1, so the proposal, unnormalized,
+    has squared norm 1 + |v|^2 in [1, 2]: the psi half-step from it keeps
+    only eigenvectors, which a positive scale does not move.
     """
-    grad, hess = _second_order(a, va, vb, value)
+    grad, hess = _second_order(a, va, vb)
     lowest = np.linalg.eigvalsh(hess)
     # the last term keeps the shift above rounding error in hess (lowest is
     # ascending, so its largest magnitude is at one end)
@@ -235,8 +238,7 @@ def _newton_step(a, va, vb, value, length):
     predicted = 0.5 * (mu * np.einsum("si,si->s", x, x) - np.einsum("si,si->s", grad, x))
     na, nb = va.shape[1] - 1, vb.shape[1] - 1
     v = x[:, na:na + nb] + 1j * x[:, 2 * na + nb:]
-    proposal = vb[:, :, 0] + length[:, None] * (vb[:, :, 1:] @ v[:, :, None])[:, :, 0]
-    return proposal / np.sqrt((proposal.conj() * proposal).real.sum(axis=1, keepdims=True)), predicted
+    return vb[:, :, 0] + length[:, None] * (vb[:, :, 1:] @ v[:, :, None])[:, :, 0], predicted
 
 
 def verify_nearest_separable(

@@ -1,11 +1,11 @@
 """Operators that several test modules build: random Hermitian matrices,
 the signed correlation operators of the paper's qubit and qutrit witnesses,
-Werner states with their closed-form distance, and seeded local-unitary
-images of a state."""
+Werner states with their closed-form distance, the Horodecki 3 x 3 family,
+seeded Bell-diagonal draws, and seeded local-unitary images of a state."""
 
 import numpy as np
 
-from witnesskit.bases import generalized_basis
+from witnesskit.bases import _weyl_operators, generalized_basis
 from witnesskit.states import DensityMatrix, haar_unitary
 
 
@@ -42,6 +42,28 @@ def werner_distance(d, p):
     nearest separable state is the Werner state at p = 1/2."""
     n_a, n_s = d * (d - 1) / 2, d * (d + 1) / 2
     return (p - 0.5) * np.sqrt(1 / n_a + 1 / n_s)
+
+
+def horodecki_3x3(alpha):
+    """2/7 P_+ + alpha/7 s_+ + (5 - alpha)/7 s_- with P_+ the maximally
+    entangled projector, s_+ = (|01><01| + |12><12| + |20><20|)/3 and s_-
+    its swap (P., M. & R. Horodecki, PRL 82, 1056 (1999)): separable for
+    2 <= alpha <= 3, PPT-entangled for 3 < alpha <= 4."""
+    v = np.eye(3).ravel() / np.sqrt(3)
+    diag = np.zeros(9)
+    for i in range(3):
+        diag[3 * i + (i + 1) % 3] = alpha / 21
+        diag[3 * ((i + 1) % 3) + i] = (5 - alpha) / 21
+    return DensityMatrix(2 / 7 * np.outer(v, v) + np.diag(diag), 3, 3)
+
+
+def bell_diagonal(d, i):
+    """Bell-diagonal draw i: sum_kl p_kl |Phi_kl><Phi_kl| over the d^2 Bell
+    states Phi_kl = (W_kl (x) 1)|phi+>, whose d x d reshape is W_kl / sqrt(d),
+    with p the i-th draw of ``default_rng(7).dirichlet(0.3 * 1)``."""
+    p = np.random.default_rng(7).dirichlet(np.full(d * d, 0.3), size=i + 1)[i]
+    bells = _weyl_operators(d).reshape(d * d, d * d) / np.sqrt(d)
+    return DensityMatrix((bells.T * p) @ bells.conj(), d, d)
 
 
 def _local_unitary(d, seed):

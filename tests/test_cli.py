@@ -19,7 +19,7 @@ from witnesskit.measures import BntReport, MeasureResult, ProjectionConfig, Proj
 from witnesskit.states import DensityMatrix, ProductEnsemble, density_to_json, isotropic
 from witnesskit.witness import MAX_STARTS, SolverConfig, WitnessReport
 
-from operators import _rotated, werner, werner_distance
+from operators import _rotated, horodecki_3x3, werner, werner_distance
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +210,18 @@ def test_measure_state_file(tmp_path, capsys):
         assert values["d"] == "" and values["D_closed"] == ""
         assert values["converged"] == "true"
         assert float(values["D_numeric"]) == pytest.approx(distance, abs=tol)
+
+
+def test_measure_state_file_with_seed(tmp_path, capsys):
+    # at seed 2 a weight step on Horodecki 3x3 (4.0) meets a reduced H whose
+    # trace rounds to 0; it must still print a converged row
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(density_to_json(horodecki_3x3(4.0))))
+    code, out, err = run_cli(capsys, "measure", "--state", str(path), "--seed", "2")
+    assert code == 0 and err == ""
+    values = dict(zip(RESULT_COLUMNS, out.strip().splitlines()[1].split(",")))
+    assert values["converged"] == "true"
+    assert abs(float(values["D_numeric"]) - 0.0554153317) <= 1e-8
 
 
 def test_measure_pure_product_state_file(tmp_path, capsys):

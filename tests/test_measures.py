@@ -19,7 +19,7 @@ from witnesskit.measures import (
 from witnesskit.states import DensityMatrix, ProductEnsemble, haar_unitary, is_ppt, isotropic
 from witnesskit.witness import SolverConfig, min_over_separable, optimal_witness_isotropic
 
-from operators import _local_unitary, _rotated, werner, werner_distance
+from operators import _local_unitary, _rotated, bell_diagonal, horodecki_3x3, werner, werner_distance
 
 
 def test_hs_distance_isotropic_pair():
@@ -376,6 +376,18 @@ def test_corrective_weights_duplicate_atom():
     assert np.allclose(got[1:4], w[1:], atol=1e-12)
 
 
+@pytest.mark.parametrize("gram", [
+    pytest.param(np.full((2, 2), 1 / 3), id="trace-zero"),
+    pytest.param(np.array([[0.3333325500000001, 0.33333255000000016],
+                           [0.33333255000000016, 0.3333325500000001]]), id="trace-negative"),
+])
+def test_corrective_weights_near_copy_of_the_one_atom(gram):
+    # the entering atom's reduced H = G_00 - 2 G_01 + G_11 rounds to 0 or to
+    # -1.1e-16, yet its gap is positive: the objective falls all the way to it
+    lin, w = np.array([0.2, 0.2 + 1e-9]), np.array([1.0, 0.0])
+    assert np.array_equal(_corrective_weights(gram, lin, w, 1), [0.0, 1.0])
+
+
 def test_nearest_separable_non_isotropic_2x3():
     rng = np.random.default_rng(8)
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -467,19 +479,6 @@ def test_isotropic_projection_is_exact_in_any_local_frame(d, seed):
     _assert_optimal_weights(res, target)
 
 
-def horodecki_3x3(alpha):
-    """2/7 P_+ + alpha/7 s_+ + (5 - alpha)/7 s_- with P_+ the maximally
-    entangled projector, s_+ = (|01><01| + |12><12| + |20><20|)/3 and s_-
-    its swap (P., M. & R. Horodecki, PRL 82, 1056 (1999)): separable for
-    2 <= alpha <= 3, PPT-entangled for 3 < alpha <= 4."""
-    v = np.eye(3).ravel() / np.sqrt(3)
-    diag = np.zeros(9)
-    for i in range(3):
-        diag[3 * i + (i + 1) % 3] = alpha / 21
-        diag[3 * ((i + 1) % 3) + i] = (5 - alpha) / 21
-    return DensityMatrix(2 / 7 * np.outer(v, v) + np.diag(diag), 3, 3)
-
-
 @pytest.mark.parametrize("alpha", [2.5, 3.0])
 def test_horodecki_3x3_separable(alpha):
     res = nearest_separable(horodecki_3x3(alpha))
@@ -487,18 +486,31 @@ def test_horodecki_3x3_separable(alpha):
 
 
 # D_ref from an earlier twirled projection, an upper bound itself: the
-# symmetric path lands 2.0e-9 and 1.2e-9 below them, the general path 3.5e-4
-# and 5.6e-4 above
-@pytest.mark.parametrize("alpha, d_ref", [(3.5, 0.0270308638), (4.0, 0.0554153317)])
-def test_horodecki_3x3_bound_entanglement(alpha, d_ref):
+# symmetric path lands within 2.0e-9 of them at seeds 0-9, the general path
+# 3.5e-4 and 5.6e-4 above; at seed 2 a weight step on (4.0) meets a reduced
+# H whose trace rounds to 0
+@pytest.mark.parametrize("alpha, d_ref, seed", [
+    pytest.param(alpha, d_ref, seed, id=f"{alpha}-{d_ref}" + (f"-seed{seed}" if seed else ""))
+    for seed in (0, 2) for alpha, d_ref in [(3.5, 0.0270308638), (4.0, 0.0554153317)]])
+def test_horodecki_3x3_bound_entanglement(alpha, d_ref, seed):
     # the target is PPT, and the witness at its nearest state detects it: B > 0
     target = horodecki_3x3(alpha)
     assert len(measures._local_group(target)[0]) == 9
     assert is_ppt(target)
-    report = bnt_check(target)
+    report = bnt_check(target, ProjectionConfig(seed=seed))
     assert report.measure.converged
     assert abs(report.d_value - d_ref) <= 1e-8
     assert report.b_value > 0 and report.discrepancy <= 1e-8
+
+
+def test_bell_diagonal_draw_with_a_near_copy_atom():
+    # at seed 3 a weight step meets an entering atom that, under the twirl,
+    # nearly duplicates the one atom with weight; D is the seed-0 value
+    target = bell_diagonal(3, 4)
+    assert len(measures._local_group(target)[0]) == 9
+    res = nearest_separable(target, ProjectionConfig(seed=3))
+    assert res.converged
+    assert abs(res.distance - 0.1666682281) <= 1e-8
 
 
 @pytest.mark.parametrize("target", [

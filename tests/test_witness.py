@@ -156,9 +156,7 @@ def test_newton_model_matches_finite_differences():
     a = random_hermitian(rng, d_a * d_b)
     psi, phi = random_unit(rng, d_a), random_unit(rng, d_b)
     va, vb = random_frame(rng, psi), random_frame(rng, phi)
-    x0 = np.kron(psi, phi)
-    value = np.vdot(x0, a @ x0).real
-    grad, hess = witness._second_order(a, va[None], vb[None], np.array([value]))
+    grad, hess = witness._second_order(a, va[None], vb[None])
     grad, hess, pa, pb = grad[0], hess[0], va[:, 1:], vb[:, 1:]
     m = d_a + d_b - 2
 
@@ -190,14 +188,15 @@ def test_newton_step_ignores_the_tangent_basis(d_a, d_b):
     a4 = a.reshape(d_a, d_b, d_a, d_b)
     phi = random_unit(rng, d_b)
     va = np.linalg.eigh(np.einsum("ikjl,k,l->ij", a4, phi.conj(), phi))[1]
-    w, vb = np.linalg.eigh(np.einsum("ikjl,i,j->kl", a4, va[:, 0].conj(), va[:, 0]))
-    value, length = np.array([w[0]]), np.array([1.0])
-    proposal, predicted = witness._newton_step(a, va[None], vb[None], value, length)
+    vb = np.linalg.eigh(np.einsum("ikjl,i,j->kl", a4, va[:, 0].conj(), va[:, 0]))[1]
+    length = np.array([1.0])
+    proposal, predicted = witness._newton_step(a, va[None], vb[None], length)
+    assert 1 <= np.vdot(proposal, proposal).real <= 2  # unnormalized, 1 + |v|^2
     for _ in range(3):
         ra, rb = va.copy(), vb.copy()
         ra[:, 1:] = va[:, 1:] @ random_unitary(rng, d_a - 1)
         rb[:, 1:] = vb[:, 1:] @ random_unitary(rng, d_b - 1)
-        turned, turned_predicted = witness._newton_step(a, ra[None], rb[None], value, length)
+        turned, turned_predicted = witness._newton_step(a, ra[None], rb[None], length)
         assert np.max(np.abs(turned - proposal)) <= 1e-12
         assert abs(turned_predicted[0] - predicted[0]) <= 1e-12
 
