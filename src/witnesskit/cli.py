@@ -3,7 +3,7 @@ projections, distance-vs-violation comparisons, sign patterns, and CHSH
 scans, emitted as CSV or JSON for external plotting.
 
 Exit codes, set by ``main`` alone: 0 success, 1 usage or domain error, 2
-solver non-convergence (partial rows, if any, are still emitted, flagged).
+solver non-convergence or numpy's ``LinAlgError`` (partial rows flagged).
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is
 set: witnesskit's matrices are at most a few hundred wide, so a second
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         args.func(args)
-    except (SolverError, ProjectionError) as exc:
+    except (SolverError, ProjectionError, np.linalg.LinAlgError) as exc:
         print(f"witnesskit: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, MemoryError, OverflowError, RecursionError) as exc:

@@ -220,9 +220,9 @@ def nearest_separable(
         v_vals, v_psis, v_phis = min_over_separable(2 * (rho - target.matrix), d_a, d_b, call_cfg, v_phis[:1])
         psis, phis = np.vstack([psis, v_psis]), np.vstack([phis, v_phis])
         w = np.append(w, np.zeros(len(v_vals)))
-        overlaps = (np.abs(psis.conj() @ _images(us, psis).T) ** 2
-                    * np.abs(phis.conj() @ _images(vs, phis).T) ** 2)
-        gram = overlaps.reshape(len(w), n, len(w)).sum(1) / n
+        # |G| products (K, d) x (d, K): one (K, d) x (d, K |G|) product is wide enough for OpenBLAS to thread
+        gram = (np.abs(psis.conj() @ _images(us, psis).reshape(n, -1, d_a).transpose(0, 2, 1)) ** 2
+                * np.abs(phis.conj() @ _images(vs, phis).reshape(n, -1, d_b).transpose(0, 2, 1)) ** 2).mean(0)
         lin = np.append(lin, gram[k:] @ w - v_vals / 2)  # v_j = <x_j|grad|x_j> = 2 (G w - c)_j
         gaps = _gaps(gram, lin, w)
         gap = gaps[k]

@@ -380,6 +380,20 @@ def test_bnt_solver_error_exit_code(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("witnesskit:")
 
 
+def test_linalg_error_exit_code(tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, but a failure inside the solvers is no usage error
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(measures, "_corrective_weights", singular)
+    code, out, err = run_cli(capsys, "measure", "--d", "2", "--alpha", "0.8")
+    assert code == 2 and out == ""
+    assert err == "witnesskit: Singular matrix\n"
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"d_a": 2, "d_b": 2, "entries": 5}))
+    run_cli_error(capsys, "measure", "--state", str(path))
+
+
 MIXED_2X2 = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
 
 
